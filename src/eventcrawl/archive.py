@@ -15,12 +15,15 @@ import csv
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import warc
 from .htmlscan import ScannedPage, decode_html_bytes, outlinks, scan_html
 from .timeutil import format_ts14, parse_iso8601, parse_ts14, to_epoch
 from .urlnorm import CanonicalizationError, canonicalize_url
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .crawler import CollectionItem
 
 __all__ = [
     "ArchiveIndex",
@@ -103,6 +106,11 @@ class ArchivedDocument:
             html = decode_html_bytes(self.body, self.declared_charset())
             self._scanned = scan_html(html)
         return self._scanned
+
+    @property
+    def outlinks(self) -> tuple[str, ...]:
+        """Canonical link targets of the scanned page, first-occurrence order."""
+        return tuple(outlinks(self.scanned(), self.snapshot.canonical_url))
 
 
 @dataclass(frozen=True)
@@ -253,14 +261,18 @@ class CollectionManifest:
 
 
 def write_collection(
-    documents: Iterable[tuple[ArchivedDocument, float]], out_path: str | Path
+    entries: Iterable[tuple["CollectionItem | ArchivedDocument", float]],
+    out_path: str | Path,
 ) -> CollectionManifest:
     """Materialize an extracted collection under ``out_path``.
 
-    Writes the chosen snapshots verbatim (original record bytes, capture
-    timestamps untouched) into ``collection.warc.gz``, plus a manifest
-    CSV (url, capture_time, relevance, out_degree) and the edge list of
-    links retained within the collection.
+    Each entry carries a ``snapshot`` and its canonical ``outlinks``, as
+    a crawl's :class:`~eventcrawl.crawler.CollectionItem` or an
+    :class:`ArchivedDocument` does. Writes the chosen snapshots verbatim
+    (original record bytes, capture timestamps untouched) into
+    ``collection.warc.gz``, plus a manifest CSV (url, capture_time,
+    relevance, out_degree) and the edge list of links retained within
+    the collection.
     """
     out_dir = Path(out_path)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -268,30 +280,26 @@ def write_collection(
     manifest_path = out_dir / "manifest.csv"
     edges_path = out_dir / "edges.csv"
 
-    items = list(documents)
-    member_urls = {doc.snapshot.canonical_url for doc, _ in items}
+    items = list(entries)
+    member_urls = {entry.snapshot.canonical_url for entry, _ in items}
     edges: list[tuple[str, str]] = []
     retained_degree: dict[str, int] = {}
 
     with warc.WarcWriter(warc_path, compress=True) as writer:
-        for document, _relevance in items:
-            snapshot = document.snapshot
+        for entry, _relevance in items:
+            snapshot = entry.snapshot
             raw = warc.read_raw_span(snapshot.warc_file, snapshot.offset, snapshot.length)
             # Already-compressed members are copied through untouched.
             writer.write_record_bytes(raw, precompressed=raw[:2] == _GZIP_MAGIC)
-            targets = [
-                target
-                for target in outlinks(document.scanned(), snapshot.canonical_url)
-                if target in member_urls
-            ]
+            targets = [target for target in entry.outlinks if target in member_urls]
             retained_degree[snapshot.canonical_url] = len(targets)
             edges.extend((snapshot.canonical_url, target) for target in targets)
 
     with open(manifest_path, "w", encoding="utf-8", newline="") as handle:
         out = csv.writer(handle)
         out.writerow(["url", "capture_time", "relevance", "out_degree"])
-        for document, relevance in items:
-            snapshot = document.snapshot
+        for entry, relevance in items:
+            snapshot = entry.snapshot
             out.writerow(
                 [
                     snapshot.canonical_url,

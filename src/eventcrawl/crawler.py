@@ -10,11 +10,12 @@ retried.
 
 from __future__ import annotations
 
+import csv
 import heapq
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from typing import Iterable
 
@@ -31,7 +32,6 @@ from .spec import CollectionSpecification, TemporalScope
 from .text import (
     IdfDictionary,
     KeywordBoost,
-    TermVector,
     build_reference_vector,
     default_idf_dictionary,
     get_analyzer,
@@ -45,6 +45,7 @@ __all__ = [
     "CrawlStrategy",
     "Frontier",
     "FrontierEntry",
+    "SnapshotAnalysis",
     "TraceRecord",
     "extract_outlinks",
     "run_crawl",
@@ -54,8 +55,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 SEED_PRIORITY = math.inf
-
-TRACE_HEADER = "step,action,url,priority,snapshot_time,topical,temporal,combined"
 
 
 class CrawlStrategy(Enum):
@@ -182,16 +181,6 @@ class TraceRecord:
     temporal: float | None = None
     combined: float | None = None
 
-    def to_csv_row(self) -> str:
-        def num(value: float | None) -> str:
-            return "" if value is None else repr(value)
-
-        return (
-            f"{self.step},{self.action},{self.url},{repr(self.priority)},"
-            f"{self.snapshot_time},{num(self.topical)},{num(self.temporal)},"
-            f"{num(self.combined)}"
-        )
-
 
 @dataclass
 class CrawlResult:
@@ -213,6 +202,53 @@ class CrawlResult:
         return sum(item.score.topical for item in self.collection)
 
 
+class SnapshotAnalysis:
+    """Memoized analysis of snapshots under one spec, IDF and gamma setting.
+
+    Builds the spec's reference vector once. Calling it with a snapshot
+    fetches, scans and scores that snapshot at most once and returns its
+    :class:`CollectionItem`, or the :class:`warc.MalformedRecord` its
+    stored bytes raised. The result never depends on the crawl strategy,
+    so one instance can serve every crawl of a comparison.
+    """
+
+    def __init__(
+        self,
+        spec: CollectionSpecification,
+        index: ArchiveIndex,
+        *,
+        idf: IdfDictionary | None = None,
+        boost: KeywordBoost | None = None,
+        half_life_gamma: bool = False,
+    ) -> None:
+        self._index = index
+        self._spec = spec
+        self._idf = idf or default_idf_dictionary()
+        self._reference = build_reference_vector(spec.topical, self._idf, boost, index=index)
+        self._analyzer = get_analyzer(spec.topical.language)
+        self._half_life_gamma = half_life_gamma
+        self._memo: dict[SnapshotRecord, CollectionItem | warc.MalformedRecord] = {}
+
+    def __call__(self, snapshot: SnapshotRecord) -> CollectionItem | warc.MalformedRecord:
+        if snapshot not in self._memo:
+            self._memo[snapshot] = self._analyze(snapshot)
+        return self._memo[snapshot]
+
+    def _analyze(self, snapshot: SnapshotRecord) -> CollectionItem | warc.MalformedRecord:
+        try:
+            document = fetch_document(self._index, snapshot)
+        except warc.MalformedRecord as exc:
+            return exc
+        doc_vector = vectorize(self._analyzer.tokens(document.scanned().text), self._idf)
+        topical = topical_relevance(doc_vector, self._reference)
+        doc_time = extract_document_time(document)
+        temporal = temporal_relevance(
+            doc_time.epoch(), self._spec.temporal, half_life_gamma=self._half_life_gamma
+        )
+        score = RelevanceScore.combine(topical, temporal, self._spec.alpha)
+        return CollectionItem(snapshot, score, tuple(extract_outlinks(document)))
+
+
 def run_crawl(
     spec: CollectionSpecification,
     index: ArchiveIndex,
@@ -221,18 +257,21 @@ def run_crawl(
     idf: IdfDictionary | None = None,
     boost: KeywordBoost | None = None,
     half_life_gamma: bool = False,
+    analysis: SnapshotAnalysis | None = None,
 ) -> CrawlResult:
     """Run one focused extraction over the archive.
 
     Reference documents must be resolvable up front (failure aborts the
     crawl); snapshots whose stored bytes are unreadable count as missing
-    and appear in the trace as ``skip``.
+    and appear in the trace as ``skip``. ``analysis``, when given, must
+    be built from the same spec, ``idf``, ``boost`` and
+    ``half_life_gamma``; sharing one across crawls changes no result and
+    only stops repeated work.
     """
-    idf = idf or default_idf_dictionary()
-    reference = build_reference_vector(spec.topical, idf, boost, index=index)
-    analyzer = get_analyzer(spec.topical.language)
-    scope = spec.temporal
-    alpha = spec.alpha
+    if analysis is None:
+        analysis = SnapshotAnalysis(
+            spec, index, idf=idf, boost=boost, half_life_gamma=half_life_gamma
+        )
 
     frontier = Frontier()
     for seed in spec.seeds:
@@ -253,26 +292,22 @@ def run_crawl(
             trace.append(TraceRecord(step, "miss", entry.url, entry.priority))
             continue
 
-        snapshot = select_snapshot(snapshots, scope)
-        try:
-            document = fetch_document(index, snapshot)
-        except warc.MalformedRecord as exc:
-            logger.warning("unreadable snapshot for %s: %s", entry.url, exc)
+        snapshot = select_snapshot(snapshots, spec.temporal)
+        item = analysis(snapshot)
+        if isinstance(item, warc.MalformedRecord):
+            logger.warning("unreadable snapshot for %s: %s", entry.url, item)
             missing.add(entry.url)
             trace.append(
                 TraceRecord(step, "skip", entry.url, entry.priority, snapshot.capture_time)
             )
             continue
 
-        score = _score_document(
-            document, reference, analyzer, scope, alpha, idf, half_life_gamma
-        )
-        links = tuple(extract_outlinks(document))
-        collection.append(CollectionItem(snapshot, score, links))
+        collection.append(item)
         fetched.add(entry.url)
 
+        score = item.score
         priority = strategy.priority_for(score)
-        for target in links:
+        for target in item.outlinks:
             if target not in fetched and target not in missing:
                 frontier.push(target, priority)
 
@@ -298,27 +333,9 @@ def run_crawl(
     )
 
 
-def _score_document(
-    document: ArchivedDocument,
-    reference: TermVector,
-    analyzer,
-    scope: TemporalScope,
-    alpha: float,
-    idf: IdfDictionary,
-    half_life_gamma: bool,
-) -> RelevanceScore:
-    doc_vector = vectorize(analyzer.tokens(document.scanned().text), idf)
-    topical = topical_relevance(doc_vector, reference)
-    doc_time = extract_document_time(document)
-    temporal = temporal_relevance(
-        doc_time.epoch(), scope, half_life_gamma=half_life_gamma
-    )
-    return RelevanceScore.combine(topical, temporal, alpha)
-
-
 def write_trace(trace: Iterable[TraceRecord], path) -> None:
-    """Write the per-fetch trace as line-delimited CSV."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(TRACE_HEADER + "\n")
-        for record in trace:
-            handle.write(record.to_csv_row() + "\n")
+    """Write the per-fetch trace as quoted CSV with ``\\n`` line ends."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        out = csv.writer(handle, lineterminator="\n")
+        out.writerow(field.name for field in fields(TraceRecord))
+        out.writerows(astuple(record) for record in trace)

@@ -20,7 +20,7 @@ from pathlib import Path
 from random import Random
 
 from .archive import ArchiveIndex
-from .crawler import CrawlStrategy, run_crawl
+from .crawler import CrawlStrategy, SnapshotAnalysis, run_crawl
 from .spec import (
     CollectionSpecification,
     ReferenceDocument,
@@ -29,7 +29,7 @@ from .spec import (
 )
 from .text import IdfDictionary, KeywordBoost
 from .timeutil import format_iso, parse_ts14
-from .warc import WarcWriter, build_response_record
+from .warc import MalformedRecord, WarcWriter, build_response_record
 
 __all__ = [
     "EvalReport",
@@ -369,25 +369,25 @@ def run_comparison(
     compared (e.g. a keyword ablation), pass the common ``evaluation_spec``
     whose topical scope defines the measuring stick; by default each run
     is measured with its own spec. A failing strategy is isolated: its
-    run records the error and the others still execute.
+    run records the error and the others still execute. The strategies
+    share one :class:`SnapshotAnalysis`, so each snapshot is scored once.
     """
     if checkpoint_interval < 1:
         raise ValueError("checkpoint interval must be positive")
-    rescorer = None
+    settings = dict(idf=idf, boost=boost, half_life_gamma=half_life_gamma)
+    measure = None
     if evaluation_spec is not None and evaluation_spec.topical != spec.topical:
-        rescorer = _TopicalRescorer(evaluation_spec, index, idf, boost)
+        measure = SnapshotAnalysis(evaluation_spec, index, **settings)
+    analysis = None
     runs: list[StrategyRun] = []
     for strategy in strategies:
         run = StrategyRun(strategy=strategy)
         try:
-            result = run_crawl(
-                spec,
-                index,
-                strategy,
-                idf=idf,
-                boost=boost,
-                half_life_gamma=half_life_gamma,
-            )
+            # Built inside the loop so that a reference that fails to
+            # resolve is recorded on every strategy, as a crawl error.
+            if analysis is None:
+                analysis = SnapshotAnalysis(spec, index, **settings)
+            result = run_crawl(spec, index, strategy, analysis=analysis)
         except Exception as exc:  # isolate per-strategy failures
             logger.error("strategy %s failed: %s", strategy.value, exc)
             run.error = str(exc)
@@ -395,10 +395,11 @@ def run_comparison(
             continue
         accumulated = 0.0
         for position, item in enumerate(result.collection, start=1):
-            if rescorer is None:
-                accumulated += item.score.topical
-            else:
-                accumulated += rescorer.topical(index, item.snapshot)
+            if measure is not None:
+                item = measure(item.snapshot)
+                if isinstance(item, MalformedRecord):
+                    raise item
+            accumulated += item.score.topical
             if position % checkpoint_interval == 0:
                 run.checkpoints.append((position, accumulated))
         total = len(result.collection)
@@ -409,28 +410,6 @@ def run_comparison(
         run.queued_at_end = result.queued_at_end
         runs.append(run)
     return EvalReport(budget=spec.target_size, checkpoint_interval=checkpoint_interval, runs=runs)
-
-
-class _TopicalRescorer:
-    """Scores fetched snapshots against a fixed evaluation reference."""
-
-    def __init__(self, evaluation_spec, index, idf, boost):
-        from .text import build_reference_vector, default_idf_dictionary, get_analyzer
-
-        self._idf = idf or default_idf_dictionary()
-        self._reference = build_reference_vector(
-            evaluation_spec.topical, self._idf, boost, index=index
-        )
-        self._analyzer = get_analyzer(evaluation_spec.topical.language)
-
-    def topical(self, index, snapshot) -> float:
-        from .archive import fetch_document
-        from .relevance import topical_relevance
-        from .text import vectorize
-
-        document = fetch_document(index, snapshot)
-        vector = vectorize(self._analyzer.tokens(document.scanned().text), self._idf)
-        return topical_relevance(vector, self._reference)
 
 
 def compare_variants(

@@ -103,26 +103,18 @@ class IdfDictionary:
     """Document frequencies backing IDF weights.
 
     ``idf(term) = ln(corpus_size / doc_frequency)``; terms absent from
-    the dictionary fall back to ``default_idf_policy``: either
-    ``log_corpus_size`` (treated as maximally informative) or
-    ``max_observed`` (capped at the rarest observed term).
+    the dictionary are treated as maximally informative and weigh
+    ``ln(corpus_size)``.
     """
 
     doc_frequencies: Mapping[str, int]
     corpus_size: int
-    default_idf_policy: str = "log_corpus_size"
     _fallback_idf: float = field(init=False, repr=False, compare=False, default=0.0)
 
     def __post_init__(self) -> None:
         if self.corpus_size < 1:
             raise ValueError("corpus_size must be positive")
-        if self.default_idf_policy not in ("log_corpus_size", "max_observed"):
-            raise ValueError(f"unknown idf policy: {self.default_idf_policy!r}")
-        if self.default_idf_policy == "max_observed" and self.doc_frequencies:
-            fallback = math.log(self.corpus_size / min(self.doc_frequencies.values()))
-        else:
-            fallback = math.log(self.corpus_size)
-        object.__setattr__(self, "_fallback_idf", fallback)
+        object.__setattr__(self, "_fallback_idf", math.log(self.corpus_size))
 
     def idf(self, term: str) -> float:
         df = self.doc_frequencies.get(term)
@@ -131,7 +123,7 @@ class IdfDictionary:
         return math.log(self.corpus_size / df)
 
 
-def load_idf_dictionary(path: str | Path, policy: str = "log_corpus_size") -> IdfDictionary:
+def load_idf_dictionary(path: str | Path) -> IdfDictionary:
     """Read a ``term TAB doc_frequency`` file with a ``#corpus_size N`` header."""
     corpus_size = None
     frequencies: dict[str, int] = {}
@@ -152,7 +144,7 @@ def load_idf_dictionary(path: str | Path, policy: str = "log_corpus_size") -> Id
     bad = next((t for t, df in frequencies.items() if df > corpus_size or df < 1), None)
     if bad is not None:
         raise ValueError(f"{path}: doc_frequency out of range for term {bad!r}")
-    return IdfDictionary(frequencies, corpus_size, policy)
+    return IdfDictionary(frequencies, corpus_size)
 
 
 def save_idf_dictionary(idf: IdfDictionary, path: str | Path) -> None:
@@ -205,25 +197,11 @@ class TermVector:
         return TermVector({t: w * factor for t, w in self.weights.items()})
 
 
-def vectorize(
-    tokens: list[str], idf: IdfDictionary, tf_scale: str = "raw"
-) -> TermVector:
-    """Weight unigrams and adjacent bigrams by tf x idf.
-
-    ``tf_scale`` is ``raw`` (default), ``log`` (1 + ln tf) or ``binary``;
-    alternatives exist for experimentation only.
-    """
+def vectorize(tokens: list[str], idf: IdfDictionary) -> TermVector:
+    """Weight unigrams and adjacent bigrams by raw tf x idf."""
     counts: Counter[str] = Counter(tokens)
     counts.update(" ".join(pair) for pair in zip(tokens, tokens[1:]))
-    if tf_scale == "raw":
-        tf = dict(counts)
-    elif tf_scale == "log":
-        tf = {t: 1.0 + math.log(c) for t, c in counts.items()}
-    elif tf_scale == "binary":
-        tf = {t: 1.0 for t in counts}
-    else:
-        raise ValueError(f"unknown tf scale: {tf_scale!r}")
-    return TermVector({t: c * idf.idf(t) for t, c in tf.items()})
+    return TermVector({t: c * idf.idf(t) for t, c in counts.items()})
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,15 @@
 Canonical form: lowercase scheme/host, no fragment, no default port,
 query string preserved verbatim (parameter order kept to avoid aliasing
 distinct archived resources), percent-escapes of unreserved characters
-decoded. Only http/https URLs are considered crawlable.
+decoded, and the space and every unprintable character percent-encoded
+as UTF-8, so that a canonical URL is one space-free line of text. Only
+http/https URLs are considered crawlable.
 """
 
 from __future__ import annotations
 
 import re
-from urllib.parse import urljoin, urlsplit, urlunsplit
+from urllib.parse import quote, urljoin, urlsplit, urlunsplit
 
 __all__ = ["CanonicalizationError", "canonicalize_url"]
 
@@ -36,11 +38,19 @@ def _decode_unreserved(component: str) -> str:
     return _PCT_RE.sub(repl, component)
 
 
+def _encode_unsafe(component: str) -> str:
+    """Percent-encode the space and every unprintable character as UTF-8."""
+    if component.isprintable() and " " not in component:
+        return component
+    return "".join(c if c.isprintable() and c != " " else quote(c) for c in component)
+
+
 def canonicalize_url(url: str, base: str | None = None) -> str:
     """Resolve ``url`` (optionally against ``base``) into canonical form.
 
     Raises :class:`CanonicalizationError` for empty or unparseable input,
-    for relative references without a base, and for non-http(s) schemes.
+    for relative references without a base, for non-http(s) schemes, and
+    for hosts with a space or an unprintable character.
     """
     if not url or not url.strip():
         raise CanonicalizationError("empty URL")
@@ -64,6 +74,8 @@ def canonicalize_url(url: str, base: str | None = None) -> str:
     if not host:
         raise CanonicalizationError(f"URL has no host: {url!r}")
     host = host.lower()
+    if not host.isprintable() or " " in host:
+        raise CanonicalizationError(f"space or unprintable character in host: {url!r}")
 
     try:
         port = parts.port
@@ -73,8 +85,8 @@ def canonicalize_url(url: str, base: str | None = None) -> str:
     if port is not None and port != _DEFAULT_PORTS[scheme]:
         netloc = f"{host}:{port}"
 
-    path = _decode_unreserved(parts.path) or "/"
-    query = _decode_unreserved(parts.query)
+    path = _encode_unsafe(_decode_unreserved(parts.path)) or "/"
+    query = _encode_unsafe(_decode_unreserved(parts.query))
 
     # Fragment dropped: it never reaches the server, so snapshots are
     # keyed without it.

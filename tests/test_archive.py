@@ -2,6 +2,7 @@ import hashlib
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from eventcrawl.archive import (
     ArchiveIndex,
@@ -11,6 +12,7 @@ from eventcrawl.archive import (
     resolve_snapshots,
     write_collection,
 )
+from eventcrawl.urlnorm import CanonicalizationError, canonicalize_url
 from eventcrawl.warc import MalformedRecord
 
 from conftest import page_html, write_warc
@@ -85,6 +87,25 @@ class TestBuildIndex:
     def test_unreadable_file_aborts(self, tmp_path):
         with pytest.raises(OSError):
             build_index([tmp_path / "missing.warc.gz"], tmp_path / "index.cdx")
+
+
+class TestIndexLines:
+    @given(rest=st.text(max_size=30))
+    def test_line_round_trip_over_canonical_urls(self, rest):
+        try:
+            url = canonicalize_url(f"http://a.test/{rest}")
+        except CanonicalizationError:
+            return
+        record = SnapshotRecord(url, "20110305120000", "/w/a b.warc.gz", 7, 99, 200, "text/html")
+        assert SnapshotRecord.from_line(record.to_line()) == record
+
+    def test_url_with_space_indexes_opens_and_resolves(self, tmp_path):
+        path = write_warc(tmp_path / "a.warc.gz", [{"url": "http://a.test/b c", "body": "x"}])
+        build_index([path], tmp_path / "index.cdx")
+        index = ArchiveIndex.open(tmp_path / "index.cdx")
+        (snapshot,) = resolve_snapshots(index, "http://a.test/b c")
+        assert snapshot.canonical_url == "http://a.test/b%20c"
+        assert fetch_document(index, snapshot).body == b"x"
 
 
 class TestResolveSnapshots:

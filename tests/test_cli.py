@@ -87,6 +87,33 @@ class TestCrawlCommand:
         for name in ("collection.warc.gz", "manifest.csv", "edges.csv", "trace.csv", "run_summary.csv"):
             assert (out_dir / name).exists(), name
 
+    def test_collection_write_reads_no_record_after_the_crawl(
+        self, archive_dir, spec_path, tmp_path, monkeypatch
+    ):
+        import eventcrawl.archive as archive
+        import eventcrawl.cli as cli
+        import eventcrawl.warc as warc
+
+        real_run_crawl = cli.run_crawl
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a record was fetched or scanned after the crawl")
+
+        def crawl_then_forbid_fetches(*args, **kwargs):
+            result = real_run_crawl(*args, **kwargs)
+            monkeypatch.setattr(warc, "read_record_span", forbidden)
+            monkeypatch.setattr(archive, "scan_html", forbidden)
+            return result
+
+        monkeypatch.setattr(cli, "run_crawl", crawl_then_forbid_fetches)
+        index_path = tmp_path / "i.cdx"
+        assert main(["index", "--warc-dir", str(archive_dir), "--index", str(index_path)]) == 0
+        out_dir = tmp_path / "out"
+        argv = ["crawl", "--spec", str(spec_path), "--index", str(index_path), "--out", str(out_dir)]
+        assert main(argv) == 0
+        edges = (out_dir / "edges.csv").read_text().splitlines()
+        assert edges == ["src_url,dst_url", "http://e.de/seed,http://e.de/r1"]
+
     def test_unknown_strategy_is_usage_error(self, archive_dir, spec_path, tmp_path, capsys):
         index_path = tmp_path / "i.cdx"
         main(["index", "--warc-dir", str(archive_dir), "--index", str(index_path)])

@@ -1,3 +1,5 @@
+import csv
+import math
 import random
 from datetime import datetime, timezone
 
@@ -8,9 +10,12 @@ from eventcrawl.archive import ArchiveIndex, ArchivedDocument, SnapshotRecord, b
 from eventcrawl.crawler import (
     CrawlStrategy,
     Frontier,
+    SnapshotAnalysis,
+    TraceRecord,
     extract_outlinks,
     run_crawl,
     select_snapshot,
+    write_trace,
 )
 from eventcrawl.spec import (
     CollectionSpecification,
@@ -329,10 +334,13 @@ class TestRunCrawl:
             handle.seek(snapshot.offset + snapshot.length // 2)
             handle.write(b"\xff" * 16)
         spec = make_spec(["http://e.de/seed"], event_scope)
-        result = run_crawl(spec, index, CrawlStrategy.COMBINED, idf=IDF)
-        assert result.missing == {"http://e.de/r1"}
-        actions = {t.url: t.action for t in result.trace}
-        assert actions["http://e.de/r1"] == "skip"
+        # A shared analysis remembers the unreadable snapshot: every crawl skips it.
+        analysis = SnapshotAnalysis(spec, index, idf=IDF)
+        for strategy in (CrawlStrategy.COMBINED, CrawlStrategy.UNFOCUSED):
+            result = run_crawl(spec, index, strategy, analysis=analysis)
+            assert result.missing == {"http://e.de/r1"}
+            actions = {t.url: t.action for t in result.trace}
+            assert actions["http://e.de/r1"] == "skip"
 
     @pytest.mark.parametrize("strategy", list(CrawlStrategy))
     def test_matches_reference_simulation(self, tmp_path, event_scope, strategy):
@@ -344,6 +352,20 @@ class TestRunCrawl:
         )
         assert result.fetched_urls == expected_order
         assert result.missing == expected_missing
+
+
+def test_trace_csv_quotes_a_url_with_a_comma(tmp_path):
+    trace = [
+        TraceRecord(1, "fetch", "http://a.test/q?a=1,2", math.inf, "20110305120000", 0.5, 1.0, 0.75),
+        TraceRecord(2, "miss", "http://a.test/gone", 0.75),
+    ]
+    path = tmp_path / "trace.csv"
+    write_trace(trace, path)
+    with open(path, encoding="utf-8", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["url"] for row in rows] == ["http://a.test/q?a=1,2", "http://a.test/gone"]
+    assert [row["combined"] for row in rows] == ["0.75", ""]
+    assert path.read_bytes().endswith(b"\n2,miss,http://a.test/gone,0.75,,,,\n")
 
 
 def _random_fixture(tmp_path, event_scope, rng, n_urls=30, name="rand"):

@@ -153,6 +153,22 @@ class TestRunComparison:
         assert report.runs[0].error == "boom"
         assert report.runs[1].error is None and report.runs[1].fetched == 100
 
+    def test_strategies_fetch_each_snapshot_once(self, small_comparison, monkeypatch):
+        import eventcrawl.crawler as crawler
+
+        spec, index, _ = small_comparison
+        fetched = []
+        real_fetch = crawler.fetch_document
+
+        def counting_fetch(index_, snapshot):
+            fetched.append(snapshot)
+            return real_fetch(index_, snapshot)
+
+        monkeypatch.setattr(crawler, "fetch_document", counting_fetch)
+        report = run_comparison(spec, index, list(CrawlStrategy), 10)
+        assert all(run.error is None for run in report.runs)
+        assert len(fetched) == len(set(fetched)) > max(run.fetched for run in report.runs)
+
     def test_zero_checkpoint_rejected(self, small_comparison):
         spec, index, _ = small_comparison
         with pytest.raises(ValueError, match="positive"):
@@ -221,3 +237,42 @@ class TestCompareVariants:
     def test_ratio_value(self):
         ratios = compare_variants(report_with(10.0), report_with(15.0))
         assert ratios["ct-f"] == pytest.approx(1.5)
+
+
+class TestKeywordAblation:
+    def test_matches_brute_force_rescoring(self, tmp_path, event_scope):
+        from eventcrawl.archive import fetch_document
+        from eventcrawl.crawler import run_crawl
+        from eventcrawl.relevance import topical_relevance
+        from eventcrawl.text import (
+            build_reference_vector,
+            default_idf_dictionary,
+            get_analyzer,
+            vectorize,
+        )
+
+        config = config_for(
+            event_scope, decoy_fraction=0.2, separator_keyword="krizzle", omit_fraction=0.03
+        )
+        paths, truth = generate_archive(config, tmp_path)
+        build_index(paths, tmp_path / "index.cdx")
+        index = ArchiveIndex.open(tmp_path / "index.cdx")
+        base = spec_for_ground_truth(truth, event_scope, target_size=60)
+        with_kw = spec_for_ground_truth(truth, event_scope, target_size=60, use_keyword=True)
+        strategies = list(CrawlStrategy)
+        report = run_comparison(base, index, strategies, 7, evaluation_spec=with_kw)
+
+        idf = default_idf_dictionary()
+        reference = build_reference_vector(with_kw.topical, idf)
+        analyzer = get_analyzer(with_kw.topical.language)
+        for strategy, run in zip(strategies, report.runs):
+            checkpoints, accumulated = [], 0.0
+            collection = run_crawl(base, index, strategy).collection
+            for position, item in enumerate(collection, start=1):
+                document = fetch_document(index, item.snapshot)
+                vector = vectorize(analyzer.tokens(document.scanned().text), idf)
+                accumulated += topical_relevance(vector, reference)
+                if position % 7 == 0 or position == len(collection):
+                    checkpoints.append((position, accumulated))
+            assert run.error is None
+            assert run.checkpoints == checkpoints

@@ -134,14 +134,8 @@ class TestIdfDictionary:
         assert idf.idf("uniqu") == pytest.approx(math.log(2), abs=1e-9)
 
     def test_unseen_term_policy_log_corpus_size(self):
-        idf = IdfDictionary({"x": 1}, corpus_size=8, default_idf_policy="log_corpus_size")
+        idf = IdfDictionary({"x": 1}, corpus_size=8)
         assert idf.idf("never-seen") == pytest.approx(math.log(8))
-
-    def test_unseen_term_policy_max_observed(self):
-        idf = IdfDictionary(
-            {"rare": 2, "common": 8}, corpus_size=8, default_idf_policy="max_observed"
-        )
-        assert idf.idf("never-seen") == pytest.approx(math.log(4))
 
     def test_empty_corpus_raises(self):
         with pytest.raises(ValueError, match="empty corpus"):

@@ -47,8 +47,19 @@ def test_empty_path_normalized_to_slash():
     assert canonicalize_url("http://e.de") == "http://e.de/"
 
 
+def test_space_and_unprintable_characters_percent_encoded():
+    assert canonicalize_url("http://a.test/b c?q=x y") == "http://a.test/b%20c?q=x%20y"
+    assert canonicalize_url("http://a.test/b\x0bc\u2028d") == "http://a.test/b%0Bc%E2%80%A8d"
+    assert canonicalize_url("http://a.test/b%20c") == "http://a.test/b%20c"
+
+
+def test_unprintable_host_rejected():
+    with pytest.raises(CanonicalizationError, match="host"):
+        canonicalize_url("http://a\u2028b.test/")
+
+
 _URL_CHARS = st.text(
-    alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJ0123456789-._~%/?=&:#",
+    alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJ0123456789-._~%/?=&:# \x0b\u2028",
     min_size=0,
     max_size=30,
 )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -198,9 +199,16 @@ def build_index(
     records.sort(key=lambda r: (r.canonical_url, r.capture_time, r.warc_file, r.offset))
     index_path = Path(index_path)
     index_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(index_path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(record.to_line() + "\n")
+    # Readers see the previous index or the new one, never a partial file.
+    temp_path = index_path.with_name(f"{index_path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp_path, "w", encoding="utf-8") as handle:
+            for record in records:
+                handle.write(record.to_line() + "\n")
+        os.replace(temp_path, index_path)
+    except BaseException:
+        temp_path.unlink(missing_ok=True)
+        raise
     url_count = len({r.canonical_url for r in records})
     return IndexSummary(url_count=url_count, record_count=len(records), skipped=skipped)
 
@@ -226,7 +234,8 @@ def _index_record(record: warc.RawRecord, warc_file: str) -> SnapshotRecord | No
     content_type = next(
         (value for name, value in headers if name.lower() == "content-type"), ""
     )
-    media_type = content_type.split(";")[0].strip().lower() or "unknown"
+    # One whitespace-free token: index lines are space-separated.
+    media_type = next(iter(content_type.split(";")[0].lower().split()), "unknown")
     if not _is_html(media_type):
         return None
     return SnapshotRecord(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 __all__ = [
     "MalformedRecord",
@@ -28,6 +28,8 @@ __all__ = [
 _GZIP_MAGIC = b"\x1f\x8b"
 _CRLF = b"\r\n"
 _HEADER_END = b"\r\n\r\n"
+# Bytes read from a file at a time while scanning it.
+_CHUNK = 1 << 16
 
 
 class MalformedRecord(ValueError):
@@ -73,37 +75,110 @@ class RawRecord:
         return uri[1:-1] if uri.startswith("<") and uri.endswith(">") else uri
 
 
-def _split_record_span(data: bytes, pos: int, path: str | Path) -> tuple[bytes, int]:
-    """Return (uncompressed record bytes, end position) for the record at pos."""
-    if data[pos : pos + 2] == _GZIP_MAGIC:
-        decomp = zlib.decompressobj(wbits=16 + zlib.MAX_WBITS)
-        try:
-            raw = decomp.decompress(data[pos:])
-        except zlib.error as exc:
-            raise MalformedRecord(f"bad gzip member: {exc}", path, pos) from exc
-        if not decomp.eof:
-            raise MalformedRecord("truncated gzip member", path, pos)
-        end = len(data) - len(decomp.unused_data)
-        return raw, end
+class _Window:
+    """Reads an open file ``_CHUNK`` bytes at a time.
 
-    head_end = data.find(_HEADER_END, pos)
+    ``data`` holds the file's bytes from offset ``start``; the handle
+    stands at ``start + len(data)``. Each method takes absolute offsets
+    and seeks only to go back before ``start``.
+    """
+
+    def __init__(self, handle: BinaryIO):
+        self._handle = handle
+        self.data = b""
+        self.start = 0
+
+    def fill(self, pos: int, size: int) -> int:
+        """Hold ``size`` bytes from ``pos``, or all up to the end of the
+        file; return the index of ``pos`` in ``data``."""
+        index = pos - self.start
+        if not 0 <= index <= len(self.data):
+            self._handle.seek(pos)
+            self.data, self.start, index = b"", pos, 0
+        if len(self.data) - index < size:
+            parts = [self.data[index:]]
+            held = len(parts[0])
+            while held < size and (chunk := self._handle.read(_CHUNK)):
+                parts.append(chunk)
+                held += len(chunk)
+            self.data, self.start, index = b"".join(parts), pos, 0
+        return index
+
+    def chunks(self, pos: int) -> Iterator[bytes | memoryview]:
+        """The file's bytes from ``pos`` on, one chunk at a time."""
+        chunk = memoryview(self.data)[self.fill(pos, 1) :]
+        while chunk:
+            yield chunk
+            self.start += len(self.data)
+            self.data = chunk = self._handle.read(_CHUNK)
+
+    def find(self, pos: int, *markers: bytes) -> int:
+        """Offset of the first of ``markers`` at or after ``pos``; -1 if none.
+
+        Only the last few bytes, which a marker may straddle, are kept
+        from one chunk to the next. No marker occurs inside another, so
+        a marker found before a straddling one is the first.
+        """
+        overlap = max(map(len, markers)) - 1
+        index = self.fill(pos, 0)
+        while True:
+            hits = [hit for hit in (self.data.find(m, index) for m in markers) if hit >= 0]
+            if hits:
+                return self.start + min(hits)
+            end = self.start + len(self.data)
+            pos = max(self.start + index, end - overlap)
+            index = self.fill(pos, end - pos + 1)
+            if self.start + len(self.data) == end:
+                return -1
+
+
+def _inflate_member(
+    chunks: Iterable[bytes | memoryview], path: str | Path, offset: int
+) -> tuple[bytes, int]:
+    """Inflate the gzip member that ``chunks`` start with.
+
+    Returns the record bytes and the member's length on disk; bytes
+    after the member are left unread.
+    """
+    decomp = zlib.decompressobj(wbits=16 + zlib.MAX_WBITS)
+    parts = []
+    consumed = 0
+    for chunk in chunks:
+        consumed += len(chunk)
+        try:
+            parts.append(decomp.decompress(chunk))
+        except zlib.error as exc:
+            raise MalformedRecord(f"bad gzip member: {exc}", path, offset) from exc
+        if decomp.eof:
+            return b"".join(parts), consumed - len(decomp.unused_data)
+    raise MalformedRecord("truncated gzip member", path, offset)
+
+
+def _plain_record(window: _Window, pos: int, path: str | Path) -> tuple[bytes, int]:
+    """The bytes and length of the uncompressed record at ``pos``."""
+    head_end = window.find(pos, _HEADER_END)
     if head_end < 0:
         raise MalformedRecord("record header never terminates", path, pos)
-    head = data[pos:head_end]
-    content_length = _content_length_of(head, path, pos)
-    end = head_end + len(_HEADER_END) + content_length + len(_HEADER_END)
-    if end > len(data):
+    index = window.fill(pos, head_end - pos)
+    content_length = _content_length_of(window.data[index : index + head_end - pos], path, pos)
+    length = head_end - pos + len(_HEADER_END) + content_length + len(_HEADER_END)
+    index = window.fill(pos, length)
+    raw = window.data[index : index + length]
+    if len(raw) != length:
         raise MalformedRecord("record block extends past end of file", path, pos)
-    return data[pos:end], end
+    return raw, length
 
 
 def _content_length_of(head: bytes, path: str | Path, offset: int) -> int:
     for line in head.split(_CRLF):
         if line.lower().startswith(b"content-length:"):
             try:
-                return int(line.split(b":", 1)[1].strip())
+                length = int(line.split(b":", 1)[1].strip())
             except ValueError as exc:
                 raise MalformedRecord("bad Content-Length", path, offset) from exc
+            if length < 0:
+                raise MalformedRecord("bad Content-Length", path, offset)
+            return length
     raise MalformedRecord("missing Content-Length", path, offset)
 
 
@@ -138,64 +213,58 @@ def iter_raw_records(path: str | Path) -> Iterator[RawRecord | MalformedRecord]:
 
     Yielding errors (rather than raising) lets callers skip and tally
     corrupt records; the scan resynchronizes at the next record start.
+    The file is read in one pass, a chunk at a time, so memory is
+    bounded by the largest record rather than by the file; only the
+    bytes after an unreadable record's start are read again.
     """
-    data = Path(path).read_bytes()
-    pos = 0
-    while pos < len(data):
-        # Skip stray CRLF padding between records.
-        while data[pos : pos + 2] == _CRLF:
-            pos += 2
-        if pos >= len(data):
-            return
-        try:
-            raw, end = _split_record_span(data, pos, path)
-            yield _parse_record_bytes(raw, pos, end - pos, path)
-            pos = end
-        except MalformedRecord as err:
-            yield err
-            next_pos = _resync(data, pos)
-            if next_pos <= pos:
-                return
-            pos = next_pos
-
-
-def _resync(data: bytes, pos: int) -> int:
-    candidates = [
-        idx
-        for idx in (data.find(_GZIP_MAGIC, pos + 1), data.find(b"WARC/", pos + 1))
-        if idx >= 0
-    ]
-    return min(candidates) if candidates else len(data)
-
-
-def read_record_span(path: str | Path, offset: int, length: int) -> RawRecord:
-    """Random-access read of the record stored at (offset, length)."""
     with open(path, "rb") as handle:
-        handle.seek(offset)
-        data = handle.read(length)
-    if len(data) != length:
-        raise MalformedRecord("record span extends past end of file", path, offset)
-    if data[:2] == _GZIP_MAGIC:
-        decomp = zlib.decompressobj(wbits=16 + zlib.MAX_WBITS)
-        try:
-            raw = decomp.decompress(data)
-        except zlib.error as exc:
-            raise MalformedRecord(f"bad gzip member: {exc}", path, offset) from exc
-        if not decomp.eof:
-            raise MalformedRecord("truncated gzip member", path, offset)
-    else:
-        raw = data
-    return _parse_record_bytes(raw, offset, length, path)
+        window = _Window(handle)
+        pos = 0
+        while True:
+            index = window.fill(pos, 2)
+            lead = window.data[index : index + 2]
+            if not lead:
+                return
+            # Skip stray CRLF padding between records.
+            if lead == _CRLF:
+                pos += 2
+                continue
+            try:
+                if lead == _GZIP_MAGIC:
+                    raw, length = _inflate_member(window.chunks(pos), path, pos)
+                else:
+                    raw, length = _plain_record(window, pos, path)
+                record = _parse_record_bytes(raw, pos, length, path)
+            except MalformedRecord as err:
+                yield err
+                pos = window.find(pos + 1, _GZIP_MAGIC, b"WARC/")
+                if pos < 0:
+                    return
+                continue
+            yield record
+            pos += length
 
 
-def read_raw_span(path: str | Path, offset: int, length: int) -> bytes:
-    """The verbatim on-disk bytes of a record span."""
+def _read_span(path: str | Path, offset: int, length: int) -> bytes:
     with open(path, "rb") as handle:
         handle.seek(offset)
         data = handle.read(length)
     if len(data) != length:
         raise MalformedRecord("record span extends past end of file", path, offset)
     return data
+
+
+def read_record_span(path: str | Path, offset: int, length: int) -> RawRecord:
+    """Random-access read of the record stored at (offset, length)."""
+    data = _read_span(path, offset, length)
+    if data[:2] == _GZIP_MAGIC:
+        data = _inflate_member((data,), path, offset)[0]
+    return _parse_record_bytes(data, offset, length, path)
+
+
+def read_raw_span(path: str | Path, offset: int, length: int) -> bytes:
+    """The verbatim on-disk bytes of a record span."""
+    return _read_span(path, offset, length)
 
 
 def parse_http_response(block: bytes) -> tuple[int, list[tuple[str, str]], bytes]:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import gzip
 import re
+import zlib
 
+from eventcrawl import warc
 from eventcrawl.archive import ArchiveIndex, fetch_document
 from eventcrawl.crawler import extract_outlinks
 from eventcrawl.relevance import (
@@ -53,6 +55,60 @@ def reference_scan(path):
             }
         )
     return records
+
+
+def whole_file_scan(path):
+    """The record framing of ``warc.iter_raw_records`` over the whole file in memory.
+
+    Each gzip member is inflated from a slice running to the end of the
+    file, so this is quadratic in the file size; it is kept as the
+    reference the chunked reader must agree with, records and error
+    offsets alike.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    items = []
+    pos = 0
+    while pos < len(data):
+        while data[pos : pos + 2] == b"\r\n":
+            pos += 2
+        if pos >= len(data):
+            break
+        try:
+            raw, end = _split_record_span(data, pos, path)
+            items.append(warc._parse_record_bytes(raw, pos, end - pos, path))
+            pos = end
+        except warc.MalformedRecord as err:
+            items.append(err)
+            pos = _resync(data, pos)
+    return items
+
+
+def _split_record_span(data, pos, path):
+    if data[pos : pos + 2] == b"\x1f\x8b":
+        decomp = zlib.decompressobj(wbits=16 + zlib.MAX_WBITS)
+        try:
+            raw = decomp.decompress(data[pos:])
+        except zlib.error as exc:
+            raise warc.MalformedRecord(f"bad gzip member: {exc}", path, pos) from exc
+        if not decomp.eof:
+            raise warc.MalformedRecord("truncated gzip member", path, pos)
+        return raw, len(data) - len(decomp.unused_data)
+    head_end = data.find(b"\r\n\r\n", pos)
+    if head_end < 0:
+        raise warc.MalformedRecord("record header never terminates", path, pos)
+    content_length = warc._content_length_of(data[pos:head_end], path, pos)
+    end = head_end + 4 + content_length + 4
+    if end > len(data):
+        raise warc.MalformedRecord("record block extends past end of file", path, pos)
+    return data[pos:end], end
+
+
+def _resync(data, pos):
+    candidates = [
+        idx for idx in (data.find(b"\x1f\x8b", pos + 1), data.find(b"WARC/", pos + 1)) if idx >= 0
+    ]
+    return min(candidates) if candidates else len(data)
 
 
 def select_snapshot_oracle(snapshots, scope: TemporalScope):

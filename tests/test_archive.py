@@ -88,6 +88,26 @@ class TestBuildIndex:
         with pytest.raises(OSError):
             build_index([tmp_path / "missing.warc.gz"], tmp_path / "index.cdx")
 
+    def test_failed_write_keeps_previous_index(self, tmp_path, monkeypatch):
+        pages = [{"url": f"http://e.de/{i}", "body": "x"} for i in range(3)]
+        path = write_warc(tmp_path / "a.warc.gz", pages)
+        build_index([path], tmp_path / "index.cdx")
+        before = (tmp_path / "index.cdx").read_bytes()
+        listing = sorted(tmp_path.iterdir())
+        to_line = SnapshotRecord.to_line
+        lines = iter(range(3))
+
+        def failing_to_line(record):
+            if next(lines) == 1:
+                raise OSError("disk full")
+            return to_line(record)
+
+        monkeypatch.setattr(SnapshotRecord, "to_line", failing_to_line)
+        with pytest.raises(OSError, match="disk full"):
+            build_index([path], tmp_path / "index.cdx")
+        assert (tmp_path / "index.cdx").read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == listing
+
 
 class TestIndexLines:
     @given(rest=st.text(max_size=30))
@@ -105,6 +125,17 @@ class TestIndexLines:
         index = ArchiveIndex.open(tmp_path / "index.cdx")
         (snapshot,) = resolve_snapshots(index, "http://a.test/b c")
         assert snapshot.canonical_url == "http://a.test/b%20c"
+        assert fetch_document(index, snapshot).body == b"x"
+
+    def test_media_type_with_space_indexes_opens_and_fetches(self, tmp_path):
+        path = write_warc(
+            tmp_path / "a.warc.gz",
+            [{"url": "http://a.test/", "body": "x", "media_type": "text/html foo"}],
+        )
+        build_index([path], tmp_path / "index.cdx")
+        index = ArchiveIndex.open(tmp_path / "index.cdx")
+        (snapshot,) = resolve_snapshots(index, "http://a.test/")
+        assert snapshot.media_type == "text/html"
         assert fetch_document(index, snapshot).body == b"x"
 
 

@@ -1,7 +1,11 @@
-from pathlib import Path
+import random
+import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from eventcrawl import warc
 from eventcrawl.warc import (
     MalformedRecord,
     WarcWriter,
@@ -14,6 +18,7 @@ from eventcrawl.warc import (
 )
 
 from conftest import write_warc
+from oracles import whole_file_scan
 
 
 def _records(path):
@@ -128,3 +133,91 @@ def test_truncated_file_reports_error(tmp_path):
     path.write_bytes(raw[: len(raw) // 2])
     items = list(iter_raw_records(path))
     assert len(items) == 1 and isinstance(items[0], MalformedRecord)
+
+
+def _record(i, payload, version="WARC/1.0"):
+    return build_response_record(
+        f"http://e.de/{i}",
+        "2011-03-05T12:00:00Z",
+        payload,
+        record_id=f"urn:uuid:{i}",
+        warc_version=version,
+    )
+
+
+# Byte strings that the reader searches for or that end its parsing early.
+_FRAGMENTS = st.sampled_from(
+    [
+        b"\x1f\x8b",
+        b"\x1f",
+        b"\x8b",
+        b"WARC/",
+        b"WARC/1.0\r\n",
+        b"\r\n",
+        b"\r\n\r\n",
+        b"Content-Length: 3\r\n",
+    ]
+)
+_BYTES = st.lists(st.one_of(_FRAGMENTS, st.binary(max_size=12)), max_size=6).map(b"".join)
+
+
+@st.composite
+def _warc_files(draw):
+    """WARC bytes mixing gzip and plain records, CRLF padding, junk and a truncated tail."""
+    parts = []
+    for i in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["gzip", "plain", "padding", "junk", "corrupt"]))
+        if kind == "padding":
+            parts.append(b"\r\n" * draw(st.integers(1, 3)))
+        elif kind == "junk":
+            parts.append(draw(_BYTES))
+        else:
+            raw = _record(i, draw(_BYTES), draw(st.sampled_from(["WARC/1.0", "WARC/1.1"])))
+            if kind == "plain":
+                parts.append(raw)
+            else:
+                member = bytearray(gzip_member(raw, level=draw(st.sampled_from([0, 6]))))
+                if kind == "corrupt":
+                    at = draw(st.integers(2, len(member) - 1))
+                    member[at] ^= draw(st.integers(1, 255))
+                parts.append(bytes(member))
+    data = b"".join(parts)
+    return data[: len(data) - draw(st.integers(0, min(len(data), 40)))]
+
+
+def _outcomes(items):
+    return [
+        (item.offset, str(item)) if isinstance(item, MalformedRecord) else item
+        for item in items
+    ]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 16])
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_warc_files())
+def test_chunked_scan_matches_whole_file_scan(tmp_path, chunk, data):
+    path = tmp_path / "x.warc.gz"
+    path.write_bytes(data)
+    with mock.patch.object(warc, "_CHUNK", chunk):
+        scanned = list(iter_raw_records(path))
+    assert _outcomes(scanned) == _outcomes(whole_file_scan(path))
+
+
+def _scan_peak_bytes(path):
+    tracemalloc.start()
+    try:
+        for _item in iter_raw_records(path):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_memory_does_not_grow_with_record_count(tmp_path):
+    rng = random.Random(0)
+    # Incompressible payloads make the file as large as the records.
+    pair = gzip_member(_record(0, rng.randbytes(4000))) + _record(1, rng.randbytes(4000))
+    small, large = tmp_path / "small.warc.gz", tmp_path / "large.warc.gz"
+    small.write_bytes(pair * 20)
+    large.write_bytes(pair * 200)
+    assert _scan_peak_bytes(large) <= 1.2 * _scan_peak_bytes(small) + warc._CHUNK

@@ -40,8 +40,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_GZIP_MAGIC = b"\x1f\x8b"
-
 
 @dataclass(frozen=True, order=True)
 class SnapshotRecord:
@@ -86,15 +84,8 @@ class ArchivedDocument:
     body: bytes
     _scanned: ScannedPage | None = field(default=None, repr=False, compare=False)
 
-    def header(self, name: str) -> str | None:
-        wanted = name.lower()
-        for key, value in self.headers:
-            if key.lower() == wanted:
-                return value
-        return None
-
     def declared_charset(self) -> str | None:
-        content_type = self.header("Content-Type") or ""
+        content_type = warc.find_header(self.headers, "Content-Type") or ""
         for part in content_type.split(";")[1:]:
             key, sep, value = part.partition("=")
             if sep and key.strip().lower() == "charset":
@@ -217,12 +208,8 @@ def _index_record(record: warc.RawRecord, warc_file: str) -> SnapshotRecord | No
     if record.record_type != "response":
         return None
     uri = record.target_uri
-    date = record.header("WARC-Date")
+    date = warc.find_header(record.headers, "WARC-Date")
     if not uri or not date:
-        return None
-    try:
-        canonical = canonicalize_url(uri)
-    except CanonicalizationError:
         return None
     try:
         capture = format_ts14(parse_iso8601(date))
@@ -231,12 +218,15 @@ def _index_record(record: warc.RawRecord, warc_file: str) -> SnapshotRecord | No
         return None
     if status != 200:
         return None
-    content_type = next(
-        (value for name, value in headers if name.lower() == "content-type"), ""
-    )
+    content_type = warc.find_header(headers, "Content-Type") or ""
     # One whitespace-free token: index lines are space-separated.
     media_type = next(iter(content_type.split(";")[0].lower().split()), "unknown")
     if not _is_html(media_type):
+        return None
+    # Canonicalize last: it costs more than every check above.
+    try:
+        canonical = canonicalize_url(uri)
+    except CanonicalizationError:
         return None
     return SnapshotRecord(
         canonical_url=canonical,
@@ -298,8 +288,7 @@ def write_collection(
         for entry, _relevance in items:
             snapshot = entry.snapshot
             raw = warc.read_raw_span(snapshot.warc_file, snapshot.offset, snapshot.length)
-            # Already-compressed members are copied through untouched.
-            writer.write_record_bytes(raw, precompressed=raw[:2] == _GZIP_MAGIC)
+            writer.write_record_bytes(raw)
             targets = [target for target in entry.outlinks if target in member_urls]
             retained_degree[snapshot.canonical_url] = len(targets)
             edges.extend((snapshot.canonical_url, target) for target in targets)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 # fetch_document is unused here; bench/tracing.py checks that this module binds it.
 from .archive import ArchiveIndex, build_index, fetch_document, write_collection  # noqa: F401
-from .crawler import CrawlStrategy, run_crawl, write_trace
+from .crawler import CrawlStrategy, SnapshotAnalysis, run_crawl, write_trace
 from .evalharness import (
     SyntheticArchiveConfig,
     generate_archive,
@@ -32,7 +32,6 @@ from .spec import (
     TemporalScope,
     parse_spec_file,
     serialize_spec,
-    validate_spec,
 )
 from .text import load_idf_dictionary
 from .timeutil import parse_duration, parse_iso8601
@@ -129,9 +128,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     if not warc_dir.is_dir():
         print(f"error: not a directory: {warc_dir}", file=sys.stderr)
         return EXIT_USAGE
-    warc_paths = sorted(
-        p for p in warc_dir.iterdir() if p.suffix in (".warc", ".gz") or p.name.endswith(".warc.gz")
-    )
+    warc_paths = sorted(p for p in warc_dir.iterdir() if p.suffix in (".warc", ".gz"))
     if not warc_paths:
         print(f"warning: no WARC files found in {warc_dir}", file=sys.stderr)
     try:
@@ -146,12 +143,24 @@ def cmd_index(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_spec(path: str):
-    spec = parse_spec_file(path)
-    problems = validate_spec(spec)
-    if problems:
-        raise SpecValidationError("; ".join(str(p) for p in problems))
-    return spec
+def _load_inputs(args: argparse.Namespace):
+    """The ``(spec, index, idf)`` of a crawl or eval, or the exit code of an error."""
+    try:
+        spec = parse_spec_file(args.spec)
+    except (SpecParseError, SpecValidationError, OSError) as exc:
+        print(f"error: invalid spec: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    try:
+        index = ArchiveIndex.open(args.index)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot open index: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        idf = load_idf_dictionary(args.idf) if args.idf else None
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot load IDF dictionary: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return spec, index, idf
 
 
 def cmd_crawl(args: argparse.Namespace) -> int:
@@ -160,22 +169,17 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    inputs = _load_inputs(args)
+    if isinstance(inputs, int):
+        return inputs
+    spec, index, idf = inputs
+    # Resolves the reference documents, so a bad one stops the crawl before any write.
     try:
-        spec = _load_spec(args.spec)
-    except (SpecParseError, SpecValidationError, OSError) as exc:
+        analysis = SnapshotAnalysis(spec, index, idf=idf, half_life_gamma=args.half_life_gamma)
+    except ValueError as exc:
         print(f"error: invalid spec: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-
-    try:
-        index = ArchiveIndex.open(args.index)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot open index: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    idf = load_idf_dictionary(args.idf) if args.idf else None
-    result = run_crawl(
-        spec, index, strategy, idf=idf, half_life_gamma=args.half_life_gamma
-    )
+    result = run_crawl(spec, index, strategy, analysis=analysis)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -212,18 +216,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    try:
-        spec = _load_spec(args.spec)
-    except (SpecParseError, SpecValidationError, OSError) as exc:
-        print(f"error: invalid spec: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        index = ArchiveIndex.open(args.index)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot open index: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    idf = load_idf_dictionary(args.idf) if args.idf else None
+    inputs = _load_inputs(args)
+    if isinstance(inputs, int):
+        return inputs
+    spec, index, idf = inputs
     report = run_comparison(
         spec,
         index,
@@ -249,11 +245,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
         spec = parse_spec_file(args.spec)
     except (SpecParseError, SpecValidationError, OSError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    problems = validate_spec(spec)
-    if problems:
-        for problem in problems:
-            print(f"invalid: {problem}", file=sys.stderr)
         return EXIT_VALIDATION
     print(f"spec {spec.name!r} is valid")
     return EXIT_OK

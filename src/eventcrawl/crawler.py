@@ -31,7 +31,6 @@ from .relevance import (
 from .spec import CollectionSpecification, TemporalScope
 from .text import (
     IdfDictionary,
-    KeywordBoost,
     build_reference_vector,
     default_idf_dictionary,
     get_analyzer,
@@ -105,9 +104,6 @@ class Frontier:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, url: str) -> bool:
-        return url in self._entries
 
     def push(self, url: str, priority: float) -> None:
         if math.isnan(priority):
@@ -188,15 +184,10 @@ class CrawlResult:
     missing: set[str]
     trace: list[TraceRecord]
     queued_at_end: int
-    strategy: CrawlStrategy
 
     @property
     def fetched_urls(self) -> list[str]:
         return [item.snapshot.canonical_url for item in self.collection]
-
-    @property
-    def urls_considered(self) -> int:
-        return len(self.collection) + len(self.missing) + self.queued_at_end
 
     def accumulated_topical(self) -> float:
         return sum(item.score.topical for item in self.collection)
@@ -218,13 +209,12 @@ class SnapshotAnalysis:
         index: ArchiveIndex,
         *,
         idf: IdfDictionary | None = None,
-        boost: KeywordBoost | None = None,
         half_life_gamma: bool = False,
     ) -> None:
         self._index = index
         self._spec = spec
         self._idf = idf or default_idf_dictionary()
-        self._reference = build_reference_vector(spec.topical, self._idf, boost, index=index)
+        self._reference = build_reference_vector(spec.topical, self._idf, index=index)
         self._analyzer = get_analyzer(spec.topical.language)
         self._half_life_gamma = half_life_gamma
         self._memo: dict[SnapshotRecord, CollectionItem | warc.MalformedRecord] = {}
@@ -255,7 +245,6 @@ def run_crawl(
     strategy: CrawlStrategy = CrawlStrategy.COMBINED,
     *,
     idf: IdfDictionary | None = None,
-    boost: KeywordBoost | None = None,
     half_life_gamma: bool = False,
     analysis: SnapshotAnalysis | None = None,
 ) -> CrawlResult:
@@ -264,14 +253,12 @@ def run_crawl(
     Reference documents must be resolvable up front (failure aborts the
     crawl); snapshots whose stored bytes are unreadable count as missing
     and appear in the trace as ``skip``. ``analysis``, when given, must
-    be built from the same spec, ``idf``, ``boost`` and
-    ``half_life_gamma``; sharing one across crawls changes no result and
-    only stops repeated work.
+    be built from the same spec, ``idf`` and ``half_life_gamma``;
+    sharing one across crawls changes no result and only stops repeated
+    work.
     """
     if analysis is None:
-        analysis = SnapshotAnalysis(
-            spec, index, idf=idf, boost=boost, half_life_gamma=half_life_gamma
-        )
+        analysis = SnapshotAnalysis(spec, index, idf=idf, half_life_gamma=half_life_gamma)
 
     frontier = Frontier()
     for seed in spec.seeds:
@@ -329,7 +316,6 @@ def run_crawl(
         missing=missing,
         trace=trace,
         queued_at_end=len(frontier),
-        strategy=strategy,
     )
 
 

@@ -27,9 +27,9 @@ from .spec import (
     TemporalScope,
     TopicalScope,
 )
-from .text import IdfDictionary, KeywordBoost
+from .text import IdfDictionary
 from .timeutil import format_iso, parse_ts14
-from .warc import MalformedRecord, WarcWriter, build_response_record
+from .warc import MalformedRecord, WarcWriter
 
 __all__ = [
     "EvalReport",
@@ -62,8 +62,6 @@ class SyntheticArchiveConfig:
     event_scope: TemporalScope
     capture_time_spread: float  # seconds around the event for background times
     random_seed: int
-    relevant_vocab_size: int = 60
-    background_vocab_size: int = 2000
     out_degree: int = 12
     page_word_count: int = 120
     seed_fanout: int = 24
@@ -108,8 +106,8 @@ def generate_archive(
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = Random(config.random_seed)
 
-    relevant_pool = [f"aquil{i}on" for i in range(config.relevant_vocab_size)]
-    background_pool = [f"breva{i}um" for i in range(config.background_vocab_size)]
+    relevant_pool = [f"aquil{i}on" for i in range(60)]
+    background_pool = [f"breva{i}um" for i in range(2000)]
 
     n_relevant = round(config.page_count * config.relevant_fraction)
     n_decoy = round(config.page_count * config.decoy_fraction)
@@ -181,13 +179,12 @@ def generate_archive(
             html = _render_page(
                 url, date_iso, page_words(url), link_targets[url], rng, config.host
             )
-            record = build_response_record(
+            writer.write_response(
                 url,
                 date_iso,
                 html.encode("utf-8"),
                 record_id=f"urn:uuid:{uuid.uuid5(uuid.NAMESPACE_URL, url + '@' + ts14)}",
             )
-            writer.write_record_bytes(record)
 
     reference_words = _zipf_sample(Random(config.random_seed + 1), relevant_pool, 400)
     if config.separator_keyword:
@@ -357,7 +354,6 @@ def run_comparison(
     checkpoint_interval: int,
     *,
     idf: IdfDictionary | None = None,
-    boost: KeywordBoost | None = None,
     half_life_gamma: bool = False,
     evaluation_spec: CollectionSpecification | None = None,
 ) -> EvalReport:
@@ -374,7 +370,7 @@ def run_comparison(
     """
     if checkpoint_interval < 1:
         raise ValueError("checkpoint interval must be positive")
-    settings = dict(idf=idf, boost=boost, half_life_gamma=half_life_gamma)
+    settings = dict(idf=idf, half_life_gamma=half_life_gamma)
     measure = None
     if evaluation_spec is not None and evaluation_spec.topical != spec.topical:
         measure = SnapshotAnalysis(evaluation_spec, index, **settings)

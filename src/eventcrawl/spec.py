@@ -123,9 +123,6 @@ class CollectionSpecification:
     target_size: int = DEFAULT_TARGET_SIZE
     alpha: float = DEFAULT_ALPHA
 
-    def with_keywords(self, keywords: tuple[str, ...]) -> "CollectionSpecification":
-        return replace(self, topical=replace(self.topical, keywords=keywords))
-
 
 def validate_spec(spec: CollectionSpecification) -> list[Diagnostic]:
     """Check every invariant; an empty list means the spec is valid."""

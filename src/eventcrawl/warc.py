@@ -19,6 +19,7 @@ __all__ = [
     "RawRecord",
     "WarcWriter",
     "build_response_record",
+    "find_header",
     "gzip_member",
     "iter_raw_records",
     "parse_http_response",
@@ -57,22 +58,21 @@ class RawRecord:
     headers: tuple[tuple[str, str], ...]
     block: bytes
 
-    def header(self, name: str) -> str | None:
-        wanted = name.lower()
-        for key, value in self.headers:
-            if key.lower() == wanted:
-                return value
-        return None
-
     @property
     def record_type(self) -> str:
-        return (self.header("WARC-Type") or "").lower()
+        return (find_header(self.headers, "WARC-Type") or "").lower()
 
     @property
     def target_uri(self) -> str:
-        uri = self.header("WARC-Target-URI") or ""
+        uri = find_header(self.headers, "WARC-Target-URI") or ""
         # Some writers wrap the URI in angle brackets.
         return uri[1:-1] if uri.startswith("<") and uri.endswith(">") else uri
+
+
+def find_header(headers: Iterable[tuple[str, str]], name: str) -> str | None:
+    """Value of the first header called ``name``, compared case-insensitively."""
+    wanted = name.lower()
+    return next((value for key, value in headers if key.lower() == wanted), None)
 
 
 class _Window:
@@ -342,12 +342,13 @@ class WarcWriter:
         self._handle = open(self.path, "wb")
         self._offset = 0
 
-    def write_record_bytes(self, raw: bytes, *, precompressed: bool = False) -> tuple[int, int]:
-        """Write one record; returns its (offset, length) span."""
-        if precompressed or not self.compress:
-            data = raw
-        else:
-            data = gzip_member(raw)
+    def write_record_bytes(self, raw: bytes) -> tuple[int, int]:
+        """Write one record; returns its (offset, length) span.
+
+        A gzip member (a WARC record itself starts with ``WARC/``) is
+        written unchanged, so compressed records copy through verbatim.
+        """
+        data = gzip_member(raw) if self.compress and raw[:2] != _GZIP_MAGIC else raw
         offset = self._offset
         self._handle.write(data)
         self._offset += len(data)

@@ -1,9 +1,12 @@
+import gzip
 import hashlib
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from eventcrawl import archive, warc
 from eventcrawl.archive import (
     ArchiveIndex,
     SnapshotRecord,
@@ -83,6 +86,25 @@ class TestBuildIndex:
         summary = build_index([path], tmp_path / "index.cdx")
         assert summary.record_count == 1
         assert summary.skipped == 1
+
+    def test_canonicalizes_only_the_records_it_indexes(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_canonicalize(url):
+            calls.append(url)
+            return canonicalize_url(url)
+
+        monkeypatch.setattr(archive, "canonicalize_url", counting_canonicalize)
+        path = write_warc(
+            tmp_path / "a.warc.gz",
+            [
+                {"url": "http://e.de/page", "body": "x"},
+                {"url": "http://e.de/logo.png", "body": "x", "media_type": "image/png"},
+                {"url": "http://e.de/gone", "body": "x", "status": 404},
+            ],
+        )
+        assert build_index([path], tmp_path / "index.cdx").record_count == 1
+        assert calls == ["http://e.de/page"]
 
     def test_unreadable_file_aborts(self, tmp_path):
         with pytest.raises(OSError):
@@ -270,6 +292,26 @@ class TestWriteCollection:
         assert edges == ["src_url,dst_url", "http://e.de/src,http://e.de/in"]
         manifest_rows = manifest.manifest_path.read_text().splitlines()
         assert manifest_rows[1].startswith("http://e.de/src,") and manifest_rows[1].endswith(",1")
+
+    def test_gzip_spans_copied_and_plain_spans_compressed(self, tmp_path):
+        zipped = write_warc(tmp_path / "a.warc.gz", [{"url": "http://e.de/z", "body": "zipped"}])
+        plain = write_warc(
+            tmp_path / "b.warc", [{"url": "http://e.de/p", "body": "plain"}], compress=False
+        )
+        build_index([zipped, plain], tmp_path / "index.cdx")
+        index = ArchiveIndex.open(tmp_path / "index.cdx")
+        snapshots = [resolve_snapshots(index, url)[0] for url in ("http://e.de/z", "http://e.de/p")]
+        spans = [Path(s.warc_file).read_bytes()[s.offset : s.offset + s.length] for s in snapshots]
+        manifest = write_collection(
+            [(fetch_document(index, s), 0.5) for s in snapshots], tmp_path / "out"
+        )
+        written = manifest.warc_path.read_bytes()
+        records = warc.iter_raw_records(manifest.warc_path)
+        members = [written[r.offset : r.offset + r.length] for r in records]
+        assert members[0] == spans[0]
+        assert members[1][:2] == b"\x1f\x8b" and gzip.decompress(members[1]) == spans[1]
+        summary = build_index([manifest.warc_path], tmp_path / "out" / "re.cdx")
+        assert summary.record_count == 2 == manifest.record_count
 
     def test_empty_stream(self, tmp_path):
         manifest = write_collection([], tmp_path / "out")

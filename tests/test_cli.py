@@ -1,3 +1,5 @@
+import gzip
+import hashlib
 import json
 
 import pytest
@@ -165,6 +167,41 @@ class TestCrawlCommand:
         assert "event_start" in capsys.readouterr().err
 
 
+    def test_unresolvable_reference_exits_before_writing(
+        self, archive_dir, spec_path, tmp_path, capsys
+    ):
+        index_path = tmp_path / "i.cdx"
+        assert main(["index", "--warc-dir", str(archive_dir), "--index", str(index_path)]) == 0
+        body = json.loads(spec_path.read_text(encoding="utf-8"))
+        body["topical"]["reference_documents"] = [
+            {"kind": "archive-url", "value": "http://e.de/absent"}
+        ]
+        spec = tmp_path / "ref.json"
+        spec.write_text(json.dumps(body), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        argv = ["--spec", str(spec), "--index", str(index_path), "--out", str(out_dir)]
+        assert main(["crawl", *argv]) == 1
+        assert "error: invalid spec: unresolvable reference document" in capsys.readouterr().err
+        assert not out_dir.exists()
+        # eval records the failure on every strategy instead.
+        assert main(["eval", *argv]) == 3
+
+
+@pytest.mark.parametrize("command", ["crawl", "eval"])
+@pytest.mark.parametrize("fault", ["missing", "no-header"])
+def test_unreadable_idf_is_usage_error(command, fault, archive_dir, spec_path, tmp_path, capsys):
+    index_path = tmp_path / "i.cdx"
+    assert main(["index", "--warc-dir", str(archive_dir), "--index", str(index_path)]) == 0
+    idf = tmp_path / "idf.tsv"
+    if fault != "missing":
+        idf.write_text("alpha\t1\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    argv = [command, "--spec", str(spec_path), "--index", str(index_path), "--out", str(out_dir)]
+    assert main([*argv, "--idf", str(idf)]) == 2
+    assert "error: cannot load IDF dictionary: " in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 class TestValidateCommand:
     def test_valid_spec(self, spec_path, capsys):
         assert main(["validate", "--spec", str(spec_path)]) == 0
@@ -275,3 +312,47 @@ class TestGenAndEval:
             )
 
         assert run_once("e1") == run_once("e2")
+
+
+# SHA-256 of every output of one fixed gen -> index -> crawl -> eval run.
+# The collection WARC is hashed after decompression, so a different zlib
+# build cannot change its digest; the index is hashed with the run
+# directory stripped from its WARC paths.
+GOLDEN_DIGESTS = {
+    "collection.warc": "99c6f2b141819516509caf9a30d36150b2ff1ae5ca890496efc2a80fe1e1318c",
+    "index.cdx": "70bb032f876c0d1289b529558a423dc55449fbbfcf1c038cad621ceda720b6f2",
+    "manifest.csv": "38b8673980e9a989b4ba53aed8a66b04105d14b63068aa43048332b632ec4e7c",
+    "edges.csv": "31d40afec52bedbd32b2393de070196904d0f5b8558f319db1eb9a4f5c384c8e",
+    "trace.csv": "80363b8ab19109904cc8031ee44ad1cb9a3ff57038d0aa96b64c33d49be17f84",
+    "run_summary.csv": "f6f5173074a1f3cd8f583edf30c202e633bea020638d57649da70bcc09a6a172",
+    "accumulated_relevance.csv": "6648494f8de5fe8bda33e2a5b1b0c13f551da5081803b0f1b37899aeaf80ad7c",
+    "summary.csv": "517851f41da3a0692c8ae4849104e53c04be00541d35e0e4323ba51412a9d521",
+}
+
+
+def test_outputs_match_golden_digests(tmp_path, capsys):
+    gen, crawl_dir, eval_dir = tmp_path / "gen", tmp_path / "crawl", tmp_path / "eval"
+    index_path = tmp_path / "index.cdx"
+    spec = str(gen / "spec.json")
+    argv_list = [
+        ["gen", "--out", str(gen), "--seed", "11", "--pages", "300",
+         "--omit-fraction", "0.03", "--target-size", "100"],
+        ["index", "--warc-dir", str(gen), "--index", str(index_path)],
+        ["crawl", "--spec", spec, "--index", str(index_path), "--out", str(crawl_dir)],
+        ["eval", "--spec", spec, "--index", str(index_path), "--checkpoint", "25",
+         "--out", str(eval_dir)],
+    ]
+    for argv in argv_list:
+        assert main(argv) == 0, argv
+    outputs = {
+        "collection.warc": gzip.decompress((crawl_dir / "collection.warc.gz").read_bytes()),
+        "index.cdx": index_path.read_bytes().replace(
+            str(tmp_path.resolve()).encode() + b"/", b""
+        ),
+    }
+    for name in ("manifest.csv", "edges.csv", "trace.csv", "run_summary.csv"):
+        outputs[name] = (crawl_dir / name).read_bytes()
+    for name in ("accumulated_relevance.csv", "summary.csv"):
+        outputs[name] = (eval_dir / name).read_bytes()
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    assert digests == GOLDEN_DIGESTS

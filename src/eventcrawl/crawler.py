@@ -245,7 +245,6 @@ def run_crawl(
     strategy: CrawlStrategy = CrawlStrategy.COMBINED,
     *,
     idf: IdfDictionary | None = None,
-    half_life_gamma: bool = False,
     analysis: SnapshotAnalysis | None = None,
 ) -> CrawlResult:
     """Run one focused extraction over the archive.
@@ -253,12 +252,11 @@ def run_crawl(
     Reference documents must be resolvable up front (failure aborts the
     crawl); snapshots whose stored bytes are unreadable count as missing
     and appear in the trace as ``skip``. ``analysis``, when given, must
-    be built from the same spec, ``idf`` and ``half_life_gamma``;
-    sharing one across crawls changes no result and only stops repeated
-    work.
+    be built from the same spec and ``idf``; sharing one across crawls
+    changes no result and only stops repeated work.
     """
     if analysis is None:
-        analysis = SnapshotAnalysis(spec, index, idf=idf, half_life_gamma=half_life_gamma)
+        analysis = SnapshotAnalysis(spec, index, idf=idf)
 
     frontier = Frontier()
     for seed in spec.seeds:

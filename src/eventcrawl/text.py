@@ -133,18 +133,25 @@ def load_idf_dictionary(path: str | Path) -> IdfDictionary:
             continue
         if line.startswith("#"):
             if line.startswith("#corpus_size"):
-                corpus_size = int(line.split()[1])
+                corpus_size = _parse_count(line[len("#corpus_size") :], path, lineno)
             continue
         term, sep, count = line.rpartition("\t")
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected 'term<TAB>doc_frequency'")
-        frequencies[term] = int(count)
+        frequencies[term] = _parse_count(count, path, lineno)
     if corpus_size is None:
         raise ValueError(f"{path}: missing '#corpus_size N' header")
     bad = next((t for t, df in frequencies.items() if df > corpus_size or df < 1), None)
     if bad is not None:
         raise ValueError(f"{path}: doc_frequency out of range for term {bad!r}")
     return IdfDictionary(frequencies, corpus_size)
+
+
+def _parse_count(text: str, path: str | Path, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: expected an integer, got {text.strip()!r}") from None
 
 
 def save_idf_dictionary(idf: IdfDictionary, path: str | Path) -> None:

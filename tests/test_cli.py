@@ -188,13 +188,15 @@ class TestCrawlCommand:
 
 
 @pytest.mark.parametrize("command", ["crawl", "eval"])
-@pytest.mark.parametrize("fault", ["missing", "no-header"])
+@pytest.mark.parametrize("fault", ["missing", "no-header", "corpus-size-without-number"])
 def test_unreadable_idf_is_usage_error(command, fault, archive_dir, spec_path, tmp_path, capsys):
     index_path = tmp_path / "i.cdx"
     assert main(["index", "--warc-dir", str(archive_dir), "--index", str(index_path)]) == 0
     idf = tmp_path / "idf.tsv"
-    if fault != "missing":
+    if fault == "no-header":
         idf.write_text("alpha\t1\n", encoding="utf-8")
+    elif fault == "corpus-size-without-number":
+        idf.write_text("#corpus_size\nalpha\t1\n", encoding="utf-8")
     out_dir = tmp_path / "out"
     argv = [command, "--spec", str(spec_path), "--index", str(index_path), "--out", str(out_dir)]
     assert main([*argv, "--idf", str(idf)]) == 2

@@ -155,6 +155,17 @@ class TestIdfDictionary:
         with pytest.raises(ValueError, match="out of range"):
             load_idf_dictionary(path)
 
+    @pytest.mark.parametrize(
+        "content, lineno",
+        [("#corpus_size\nterm\t1\n", 1), ("#corpus_size 2\nterm\tx\n", 2)],
+        ids=["corpus-size-without-number", "doc-frequency-not-a-number"],
+    )
+    def test_count_that_is_not_a_number_names_file_and_line(self, tmp_path, content, lineno):
+        path = tmp_path / "bad.tsv"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"bad.tsv:{lineno}: expected an integer"):
+            load_idf_dictionary(path)
+
 
 class TestKeywordBoost:
     def test_full_overlap_on_stemmed_unigram(self):

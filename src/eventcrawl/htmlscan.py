@@ -2,25 +2,88 @@
 
 The crawler parses each fetched page exactly once; the extraction
 operations all work from the resulting :class:`ScannedPage`.
+
+Pages are tokenized by compiled regexes over a conservative subset of
+HTML, on which every ``html.parser.HTMLParser`` release makes the same
+handler calls. A document with anything outside the subset goes whole to
+the ``HTMLParser``-based :class:`_Scanner`, whose reading of malformed
+markup differs between Python patch releases.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from html import unescape
+from html.entities import html5 as _HTML5_ENTITIES
 from html.parser import HTMLParser
+from urllib.parse import urlsplit
 
 from .urlnorm import CanonicalizationError, canonicalize_url
 
 __all__ = ["ScannedPage", "decode_html_bytes", "outlinks", "scan_html"]
 
-_WS_RE = re.compile(r"\s+")
 _META_CHARSET_RE = re.compile(
     rb"""<meta[^>]+charset\s*=\s*["']?\s*([A-Za-z0-9_.:-]+)""", re.IGNORECASE
 )
 
 # Elements whose character data is never visible text.
 _INVISIBLE = {"script", "style", "noscript", "template"}
+# The start tags that _PageBuilder.handle_starttag does not ignore.
+_HANDLED = _INVISIBLE | {"a", "base", "meta", "time"}
+
+# The subset. Inside tags, whitespace is the ASCII set that both the old
+# tokenizer (Unicode \s) and the HTML5 one accept; attributes are
+# separated by it, and their values are quoted or plain.
+_SPACE = "[ \t\n\r\f]"
+_TAG_NAME = "[a-zA-Z][a-zA-Z0-9]*"
+_ATTRIBUTE_NAME = "[a-zA-Z_:][-a-zA-Z0-9_:.]*"
+_ATTRIBUTE_VALUE = "\"[^\"]*\"|'[^']*'|[^\\s\"'=<>`]+"
+_ATTRIBUTE_RE = re.compile(
+    f"{_SPACE}+({_ATTRIBUTE_NAME})(?:{_SPACE}*={_SPACE}*({_ATTRIBUTE_VALUE}))?"
+)
+# Text up to the next "<", then a start tag, a plain end tag, a comment
+# without "--" inside, a doctype without quotes, or the end.
+_TOKEN_RE = re.compile(
+    "([^<]*)(?:"
+    f"<({_TAG_NAME})"
+    f"((?:{_SPACE}+{_ATTRIBUTE_NAME}(?:{_SPACE}*={_SPACE}*(?:{_ATTRIBUTE_VALUE}))?)*)"
+    f"{_SPACE}*(/?)>"
+    f"|</({_TAG_NAME})>"
+    "|<!--(?!-?>)[^-]*(?:-[^-]+)*-->"
+    "|<![dD][oO][cC][tT][yY][pP][eE][^<>\"']*>"
+    "|\\Z)"
+)
+_END_TAG_RE = re.compile(f"</({_TAG_NAME})>")
+# Old releases unescape attribute values like text, decoding the longest
+# legacy entity prefix (&copy=2 -> ©=2); newer ones decode a named
+# reference only when its whole name is an entity and no "=" follows.
+# Values whose every "&" starts a numeric or complete ";"-terminated
+# reference read the same in both.
+_ATTRIBUTE_REF_RE = re.compile(r"&(?:#[0-9]+;|#[xX][0-9a-fA-F]+;|([a-zA-Z][a-zA-Z0-9]*;))?")
+
+# Script and style content is raw text in every release. It is in the
+# subset when the first "</" after the start tag begins the element's end
+# tag and no "<!--" comes before it.
+_SCRIPT_LIKE = {"script", "style"}
+# Newer releases read title and textarea content as escapable raw text
+# (True: references are decoded) and xmp, iframe, noembed and noframes
+# content as raw text; older ones read it as markup. The readings agree
+# when the content has no "<", and no "&" for raw text. Newer releases
+# read everything after <plaintext> as text, so that element is never in
+# the subset.
+_RAW_TEXT_ESCAPABLE = {
+    "title": True,
+    "textarea": True,
+    "xmp": False,
+    "iframe": False,
+    "noembed": False,
+    "noframes": False,
+}
+
+
+class _OutsideSubset(Exception):
+    """The document holds a construct outside the tokenizer's subset."""
 
 
 @dataclass
@@ -34,9 +97,10 @@ class ScannedPage:
     time_datetimes: list[str] = field(default_factory=list)  # <time datetime=...> values
 
 
-class _Scanner(HTMLParser):
+class _PageBuilder:
+    """The start-tag, end-tag and data handling shared by both tokenizers."""
+
     def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
         self.page = ScannedPage()
         self._chunks: list[str] = []
         self._invisible_depth = 0
@@ -72,8 +136,15 @@ class _Scanner(HTMLParser):
             self._chunks.append(data)
 
     def finish(self) -> ScannedPage:
-        self.page.text = _WS_RE.sub(" ", " ".join(self._chunks)).strip()
+        # str.split and re's \s treat the same code points as whitespace.
+        self.page.text = " ".join(" ".join(self._chunks).split())
         return self.page
+
+
+class _Scanner(_PageBuilder, HTMLParser):
+    def __init__(self) -> None:
+        _PageBuilder.__init__(self)
+        HTMLParser.__init__(self, convert_charrefs=True)
 
 
 def decode_html_bytes(body: bytes, declared_charset: str | None = None) -> str:
@@ -81,6 +152,8 @@ def decode_html_bytes(body: bytes, declared_charset: str | None = None) -> str:
 
     Tries the charset declared in HTTP headers, then an in-page ``<meta
     charset>``, then UTF-8; undecodable bytes are replaced, never fatal.
+    A charset that is unknown or whose codec raises anyway (``undefined``,
+    ``idna``) is skipped.
     """
     charsets = []
     if declared_charset:
@@ -92,13 +165,88 @@ def decode_html_bytes(body: bytes, declared_charset: str | None = None) -> str:
     for charset in charsets:
         try:
             return body.decode(charset, errors="replace")
-        except LookupError:
+        except (LookupError, UnicodeError):
             continue
     return body.decode("utf-8", errors="replace")
 
 
+def _attributes(markup: str) -> list[tuple[str, str | None]]:
+    """The (name, value) pairs of a start tag's attribute markup."""
+    attrs = []
+    for attribute in _ATTRIBUTE_RE.finditer(markup):
+        name, value = attribute.groups()  # value is None without "="
+        if value is not None:
+            if value[0] in "'\"":
+                value = value[1:-1]
+            if "&" in value:
+                for ref in _ATTRIBUTE_REF_RE.finditer(value):
+                    named = ref.group(1)
+                    if ref.group() == "&" or (named and named not in _HTML5_ENTITIES):
+                        raise _OutsideSubset
+                value = unescape(value)
+        attrs.append((name.lower(), value))
+    return attrs
+
+
+def _scan_subset(html: str) -> ScannedPage:
+    """Scan ``html`` with compiled regexes; raise _OutsideSubset at the
+    first construct outside the subset, including one unclosed at the end."""
+    builder = _PageBuilder()
+    pos, size = 0, len(html)
+    while pos < size:
+        token = _TOKEN_RE.match(html, pos)
+        if token is None:
+            raise _OutsideSubset
+        text, tag, attributes, self_closing, end_tag = token.groups()
+        if text:
+            builder.handle_data(unescape(text))
+        pos = token.end()
+        if end_tag:
+            builder.handle_endtag(end_tag.lower())
+        if not tag:
+            continue
+        name = tag.lower()
+        if name in _HANDLED:
+            builder.handle_starttag(name, _attributes(attributes))
+        if self_closing:
+            if name in _SCRIPT_LIKE or name in _RAW_TEXT_ESCAPABLE:
+                raise _OutsideSubset
+            builder.handle_endtag(name)
+        elif name in _SCRIPT_LIKE:
+            close = html.find("</", pos)
+            if close < 0 or html.find("<!--", pos, close) >= 0:
+                raise _OutsideSubset
+            end = _END_TAG_RE.match(html, close)
+            if end is None or end.group(1).lower() != name:
+                raise _OutsideSubset
+            # The content is never visible text, so handle_data would drop it.
+            builder.handle_endtag(name)
+            pos = end.end()
+        elif name in _RAW_TEXT_ESCAPABLE:
+            close = html.find("<", pos)
+            end = _END_TAG_RE.match(html, close) if close >= 0 else None
+            if end is None or end.group(1).lower() != name:
+                raise _OutsideSubset
+            if not _RAW_TEXT_ESCAPABLE[name] and html.find("&", pos, close) >= 0:
+                raise _OutsideSubset
+            # The next token is this content as text, then the end tag.
+        elif name == "plaintext":
+            raise _OutsideSubset
+    return builder.finish()
+
+
 def scan_html(html: str) -> ScannedPage:
-    """Scan an HTML document in one pass; never raises on bad markup."""
+    """Scan an HTML document in one pass; never raises on bad markup.
+
+    A document inside the regex tokenizer's subset is scanned by it; any
+    other goes whole to the ``HTMLParser``-based scanner. Both feed the
+    same :class:`_PageBuilder` handlers, so the result does not depend on
+    which one ran.
+    """
+    try:
+        return _scan_subset(html)
+    except _OutsideSubset:
+        pass
     scanner = _Scanner()
     try:
         scanner.feed(html)
@@ -108,11 +256,35 @@ def scan_html(html: str) -> ScannedPage:
     return scanner.finish()
 
 
+# A root-relative href that urljoin and canonicalize_url leave as it is: one
+# leading "/", then unreserved and sub-delim characters, ":", "@" and "/",
+# with no empty, "." or ".." segment. ";" is left out, because urljoin drops
+# a trailing one with the empty parameters it splits off.
+_ROOT_RELATIVE_RE = re.compile(r"/(?:(?!\.\.?(?:/|\Z))[-A-Za-z0-9._~!$&'()*+,=:@]+(?:/|\Z))*")
+
+
+def _origin(base: str) -> str | None:
+    """``scheme://netloc`` of ``base`` if it is canonical, else None.
+
+    Only a canonical base gives urljoin the netloc that canonicalize_url
+    would write for it.
+    """
+    try:
+        if canonicalize_url(base) != base:
+            return None
+    except CanonicalizationError:
+        return None
+    parts = urlsplit(base)
+    return f"{parts.scheme}://{parts.netloc}"
+
+
 def outlinks(page: ScannedPage, document_url: str) -> list[str]:
     """Canonical outgoing link targets in first-occurrence order.
 
     Hrefs resolve against the in-page base element when present, else the
-    document URL; non-http(s) and unparseable targets are dropped.
+    document URL; non-http(s) and unparseable targets are dropped. A
+    root-relative href that canonicalization would not change is joined
+    to the canonical base's origin directly.
     """
     base = document_url
     if page.base_href:
@@ -120,15 +292,19 @@ def outlinks(page: ScannedPage, document_url: str) -> list[str]:
             base = canonicalize_url(page.base_href, document_url)
         except CanonicalizationError:
             pass
+    origin = _origin(base)
     seen: set[str] = set()
     result: list[str] = []
     for href in page.links:
         if href.startswith("#"):  # fragment-only: same resource
             continue
-        try:
-            url = canonicalize_url(href, base)
-        except CanonicalizationError:
-            continue
+        if origin is not None and _ROOT_RELATIVE_RE.fullmatch(href):
+            url = origin + href
+        else:
+            try:
+                url = canonicalize_url(href, base)
+            except CanonicalizationError:
+                continue
         if url not in seen:
             seen.add(url)
             result.append(url)

@@ -56,10 +56,9 @@ def canonicalize_url(url: str, base: str | None = None) -> str:
         raise CanonicalizationError("empty URL")
     url = url.strip()
 
-    if base is not None:
-        url = urljoin(base, url)
-
     try:
+        if base is not None:
+            url = urljoin(base, url)
         parts = urlsplit(url)
     except ValueError as exc:
         raise CanonicalizationError(f"unparseable URL: {url!r}") from exc

@@ -27,7 +27,7 @@ from eventcrawl.text import (
     get_analyzer,
     vectorize,
 )
-from eventcrawl.urlnorm import canonicalize_url
+from eventcrawl.urlnorm import CanonicalizationError, canonicalize_url
 
 
 def reference_scan(path):
@@ -215,3 +215,25 @@ def reference_bfs(
                 queue.append(target)
                 queued.add(target)
     return fetched, missing
+
+
+def reference_outlinks(page, document_url):
+    """Outlinks with every href, root-relative ones too, canonicalized
+    against the base by ``canonicalize_url``."""
+    base = document_url
+    if page.base_href:
+        try:
+            base = canonicalize_url(page.base_href, document_url)
+        except CanonicalizationError:
+            pass
+    result = []
+    for href in page.links:
+        if href.startswith("#"):
+            continue
+        try:
+            url = canonicalize_url(href, base)
+        except CanonicalizationError:
+            continue
+        if url not in result:
+            result.append(url)
+    return result

@@ -244,6 +244,20 @@ class TestRunCrawl:
         miss_steps = [t for t in result.trace if t.action == "miss"]
         assert len(miss_steps) == 1
 
+    @pytest.mark.parametrize("bad_href", ["http://[x/", "http://a／b.test/"])
+    def test_unparseable_outlink_is_dropped(self, tmp_path, event_scope, bad_href):
+        pages = [
+            {"url": "http://e.de/seed", "body": page_html("alpha", [bad_href, "/r1"])},
+            {"url": "http://e.de/r1", "body": page_html("beta")},
+        ]
+        write_warc(tmp_path / "a.warc.gz", pages)
+        build_index([tmp_path / "a.warc.gz"], tmp_path / "index.cdx")
+        index = ArchiveIndex.open(tmp_path / "index.cdx")
+        spec = make_spec(["http://e.de/seed"], event_scope)
+        result = run_crawl(spec, index, CrawlStrategy.COMBINED, idf=IDF)
+        assert result.fetched_urls == ["http://e.de/seed", "http://e.de/r1"]
+        assert result.missing == set()
+
     def test_target_size_one_stops_at_seed(self, tmp_path, event_scope):
         index = star_archive(tmp_path, event_scope)
         spec = make_spec(["http://e.de/seed"], event_scope, target_size=1)

@@ -4,10 +4,11 @@ The crawler parses each fetched page exactly once; the extraction
 operations all work from the resulting :class:`ScannedPage`.
 
 Pages are tokenized by compiled regexes over a conservative subset of
-HTML, on which every ``html.parser.HTMLParser`` release makes the same
-handler calls. A document with anything outside the subset goes whole to
-the ``HTMLParser``-based :class:`_Scanner`, whose reading of malformed
-markup differs between Python patch releases.
+HTML, on which the ``html.parser.HTMLParser`` releases of Python 3.10 to
+3.13 make the same handler calls. From the first construct outside the
+subset on, the ``HTMLParser``-based :class:`_Scanner` reads the rest of
+the document, because its reading of malformed markup differs between
+Python patch releases.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ _META_CHARSET_RE = re.compile(
 
 # Elements whose character data is never visible text.
 _INVISIBLE = {"script", "style", "noscript", "template"}
-# The start tags that _PageBuilder.handle_starttag does not ignore.
-_HANDLED = _INVISIBLE | {"a", "base", "meta", "time"}
 
 # The subset. Inside tags, whitespace is the ASCII set that both the old
 # tokenizer (Unicode \s) and the HTML5 one accept; attributes are
@@ -66,24 +65,13 @@ _ATTRIBUTE_REF_RE = re.compile(r"&(?:#[0-9]+;|#[xX][0-9a-fA-F]+;|([a-zA-Z][a-zA-
 # subset when the first "</" after the start tag begins the element's end
 # tag and no "<!--" comes before it.
 _SCRIPT_LIKE = {"script", "style"}
-# Newer releases read title and textarea content as escapable raw text
-# (True: references are decoded) and xmp, iframe, noembed and noframes
-# content as raw text; older ones read it as markup. The readings agree
-# when the content has no "<", and no "&" for raw text. Newer releases
-# read everything after <plaintext> as text, so that element is never in
-# the subset.
-_RAW_TEXT_ESCAPABLE = {
-    "title": True,
-    "textarea": True,
-    "xmp": False,
-    "iframe": False,
-    "noembed": False,
-    "noframes": False,
-}
-
-
-class _OutsideSubset(Exception):
-    """The document holds a construct outside the tokenizer's subset."""
+# Newer releases read title and textarea content as escapable raw text,
+# older ones as markup; the readings agree when the content has no "<".
+_ESCAPABLE_RAW_TEXT = {"title", "textarea"}
+# Newer releases also read xmp, iframe, noembed and noframes content as
+# raw text, and everything after <plaintext> as text; these elements are
+# outside the subset.
+_OUTSIDE_SUBSET = {"xmp", "iframe", "noembed", "noframes", "plaintext"}
 
 
 @dataclass
@@ -105,7 +93,12 @@ class _PageBuilder:
         self._chunks: list[str] = []
         self._invisible_depth = 0
 
+    # The start tags handle_starttag reads; it ignores every other one.
+    READS = frozenset(_INVISIBLE | {"a", "base", "meta", "time"})
+
     def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
+        if tag not in self.READS:
+            return
         if tag in _INVISIBLE:
             self._invisible_depth += 1
             return
@@ -170,8 +163,9 @@ def decode_html_bytes(body: bytes, declared_charset: str | None = None) -> str:
     return body.decode("utf-8", errors="replace")
 
 
-def _attributes(markup: str) -> list[tuple[str, str | None]]:
-    """The (name, value) pairs of a start tag's attribute markup."""
+def _attributes(markup: str) -> list[tuple[str, str | None]] | None:
+    """The (name, value) pairs of a start tag's attribute markup, or None
+    if a value holds a reference outside the subset."""
     attrs = []
     for attribute in _ATTRIBUTE_RE.finditer(markup):
         name, value = attribute.groups()  # value is None without "="
@@ -182,77 +176,82 @@ def _attributes(markup: str) -> list[tuple[str, str | None]]:
                 for ref in _ATTRIBUTE_REF_RE.finditer(value):
                     named = ref.group(1)
                     if ref.group() == "&" or (named and named not in _HTML5_ENTITIES):
-                        raise _OutsideSubset
+                        return None
                 value = unescape(value)
         attrs.append((name.lower(), value))
     return attrs
 
 
-def _scan_subset(html: str) -> ScannedPage:
-    """Scan ``html`` with compiled regexes; raise _OutsideSubset at the
-    first construct outside the subset, including one unclosed at the end."""
-    builder = _PageBuilder()
+def _raw_text_end(html: str, start: int, name: str) -> re.Match[str] | None:
+    """The end tag of raw-text element ``name`` whose content begins at
+    ``start``, or None if the content or its end is outside the subset."""
+    if name in _SCRIPT_LIKE:
+        close = html.find("</", start)
+        if close < 0 or html.find("<!--", start, close) >= 0:
+            return None
+    else:
+        close = html.find("<", start)
+    end = _END_TAG_RE.match(html, close) if close >= 0 else None
+    return end if end is not None and end.group(1).lower() == name else None
+
+
+def _scan_subset(builder: _PageBuilder, html: str) -> int:
+    """Feed ``builder`` the tokens of ``html`` up to the first one outside
+    the subset, including one left unclosed at the end; return where that
+    token starts, or ``len(html)``.
+
+    A token outside the subset reaches no handler, so the builder's state
+    is the one an ``HTMLParser`` would have after the same prefix.
+    """
     pos, size = 0, len(html)
     while pos < size:
         token = _TOKEN_RE.match(html, pos)
         if token is None:
-            raise _OutsideSubset
+            return pos
         text, tag, attributes, self_closing, end_tag = token.groups()
+        name = tag.lower() if tag else ""
+        attrs = _attributes(attributes) if name in builder.READS else []
+        if attrs is None or name in _OUTSIDE_SUBSET:
+            return pos
+        raw_end = None
+        if name in _SCRIPT_LIKE or name in _ESCAPABLE_RAW_TEXT:
+            raw_end = None if self_closing else _raw_text_end(html, token.end(), name)
+            if raw_end is None:
+                return pos
         if text:
             builder.handle_data(unescape(text))
         pos = token.end()
         if end_tag:
             builder.handle_endtag(end_tag.lower())
-        if not tag:
+        if not name:
             continue
-        name = tag.lower()
-        if name in _HANDLED:
-            builder.handle_starttag(name, _attributes(attributes))
+        builder.handle_starttag(name, attrs)
         if self_closing:
-            if name in _SCRIPT_LIKE or name in _RAW_TEXT_ESCAPABLE:
-                raise _OutsideSubset
             builder.handle_endtag(name)
         elif name in _SCRIPT_LIKE:
-            close = html.find("</", pos)
-            if close < 0 or html.find("<!--", pos, close) >= 0:
-                raise _OutsideSubset
-            end = _END_TAG_RE.match(html, close)
-            if end is None or end.group(1).lower() != name:
-                raise _OutsideSubset
             # The content is never visible text, so handle_data would drop it.
             builder.handle_endtag(name)
-            pos = end.end()
-        elif name in _RAW_TEXT_ESCAPABLE:
-            close = html.find("<", pos)
-            end = _END_TAG_RE.match(html, close) if close >= 0 else None
-            if end is None or end.group(1).lower() != name:
-                raise _OutsideSubset
-            if not _RAW_TEXT_ESCAPABLE[name] and html.find("&", pos, close) >= 0:
-                raise _OutsideSubset
-            # The next token is this content as text, then the end tag.
-        elif name == "plaintext":
-            raise _OutsideSubset
-    return builder.finish()
+            pos = raw_end.end()
+        # Title and textarea content is the next token, as text.
+    return size
 
 
 def scan_html(html: str) -> ScannedPage:
     """Scan an HTML document in one pass; never raises on bad markup.
 
-    A document inside the regex tokenizer's subset is scanned by it; any
-    other goes whole to the ``HTMLParser``-based scanner. Both feed the
-    same :class:`_PageBuilder` handlers, so the result does not depend on
-    which one ran.
+    The regex tokenizer scans the document up to the first construct
+    outside its subset, and the ``HTMLParser``-based scanner goes on from
+    there with the same :class:`_PageBuilder` state, so the result does
+    not depend on where the tokenizer stopped.
     """
-    try:
-        return _scan_subset(html)
-    except _OutsideSubset:
-        pass
     scanner = _Scanner()
-    try:
-        scanner.feed(html)
-        scanner.close()
-    except Exception:  # pragma: no cover - HTMLParser is lenient already
-        pass
+    stop = _scan_subset(scanner, html)
+    if stop < len(html):
+        try:
+            scanner.feed(html[stop:])
+            scanner.close()
+        except Exception:  # pragma: no cover - HTMLParser is lenient already
+            pass
     return scanner.finish()
 
 

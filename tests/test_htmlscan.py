@@ -158,14 +158,12 @@ _RAW_TEXT = st.lists(st.sampled_from(["alpha", " ", "\n", ">", "é", "-->"]), ma
 
 @st.composite
 def _subset_raw_element(draw):
-    name = draw(st.sampled_from(["script", "style", "SCRIPT", "title", "textarea", "xmp", "iframe", "noembed", "noframes"]))
+    name = draw(st.sampled_from(["script", "style", "SCRIPT", "title", "textarea"]))
     closing = draw(st.sampled_from([name, name.upper(), name.capitalize()]))
     if name.lower() in ("script", "style"):
         body = draw(_SCRIPT_BODY)
-    elif name in ("title", "textarea"):
-        body = draw(st.one_of(_RAW_TEXT, _TEXT))
     else:
-        body = draw(_RAW_TEXT)
+        body = draw(st.one_of(_RAW_TEXT, _TEXT))
     attributes = "".join(draw(st.lists(_subset_attribute(), max_size=2)))
     return f"<{name}{attributes}>{body}</{closing}>"
 
@@ -191,37 +189,64 @@ _MALFORMED_PARTS = st.sampled_from(
     + ["<plaintext>", "<script/>", "<title/>", "<script>", "<title>", "<style>x", "</script >"]
     + ["<script>x</ script>y</script>", "<script><!--</script>-->", "<script>a</p></script>"]
     + ["<title>a<b>c</title>", "<iframe>&amp;</iframe>", "<xmp><a href='/x'></xmp>", "<textarea>a"]
+    + ["<xmp>a</xmp>", "<iframe src='/f'></iframe>", "<NoEmbed>e</NoEmbed>", "<noframes>f</noframes>"]
     + ["<a href='/z' />", "<br/ >", "<a href=\"/q\"\x00>", "\x00"]
 )
 _MIXED_DOCUMENTS = st.lists(st.one_of(_SUBSET_PARTS, _MALFORMED_PARTS), max_size=25).map("".join)
+
+
+def subset_scan(html: str) -> tuple[int, ScannedPage]:
+    """Where the regex tokenizer stops in ``html``, and what it read."""
+    builder = htmlscan._PageBuilder()
+    return htmlscan._scan_subset(builder, html), builder.finish()
 
 
 class TestRegexTokenizer:
     @settings(max_examples=400, deadline=None)
     @given(html=_SUBSET_DOCUMENTS)
     def test_subset_markup_takes_the_regex_path_and_agrees(self, html):
-        assert htmlscan._scan_subset(html) == parser_scan(html)
+        assert subset_scan(html) == (len(html), parser_scan(html))
 
     @settings(max_examples=400, deadline=None)
     @given(html=_MIXED_DOCUMENTS)
     def test_any_markup_agrees_with_the_parser(self, html):
         assert scan_html(html) == parser_scan(html)
 
-    @pytest.mark.parametrize(
-        "html",
-        ["<p>a<b</p>", "<!-- a -- b -->", "<a href='&copy=2'>", "<script>a</p></script>", "<title>t"],
-    )
-    def test_constructs_outside_the_subset_go_to_the_parser(self, html):
-        with pytest.raises(htmlscan._OutsideSubset):
-            htmlscan._scan_subset(html)
+    @settings(max_examples=400, deadline=None)
+    @given(prefix=_SUBSET_DOCUMENTS, text=_TEXT, malformed=_MALFORMED_PARTS, rest=_MIXED_DOCUMENTS)
+    def test_the_parser_takes_over_with_the_tokenizer_state(self, prefix, text, malformed, rest):
+        html = prefix + text + malformed + rest
         assert scan_html(html) == parser_scan(html)
 
-    def test_generated_archive_pages_take_the_regex_path(self, tmp_path, monkeypatch, event_scope):
-        class Refuse:
-            def __init__(self):
-                raise AssertionError("page left the regex tokenizer's subset")
+    @pytest.mark.parametrize(
+        "html",
+        ["<p>a<b</p>", "<!-- a -- b -->", "<a href='&copy=2'>", "<script>a</p></script>", "<title>t", "<xmp>x</xmp>"],
+    )
+    def test_constructs_outside_the_subset_go_to_the_parser(self, html):
+        assert subset_scan(html)[0] < len(html)
+        assert scan_html(html) == parser_scan(html)
 
-        monkeypatch.setattr(htmlscan, "_Scanner", Refuse)
+    @pytest.mark.parametrize(
+        ("prefix", "rest"),
+        [
+            ('<p>a</p><a href="/x">b</a>', " c<3 d"),
+            ("<p>a</p>", " c<xmp>x</xmp>"),
+            ("<script>s()</script><title>t</title>", "<a href='?a=1&b=2'>q</a>"),
+            ("<!doctype html><noscript>", "<iframe></iframe></noscript>tail"),
+            ("", "<!-- a -- b --><p>x</p>"),
+        ],
+    )
+    def test_the_parser_resumes_where_the_subset_ends(self, prefix, rest, monkeypatch):
+        html = prefix + rest
+        fed = []
+        feed = htmlscan._Scanner.feed
+        monkeypatch.setattr(htmlscan._Scanner, "feed", lambda self, data: fed.append(data) or feed(self, data))
+        assert scan_html(html) == parser_scan(html)
+        assert fed[0] == rest
+
+    def test_generated_archive_pages_take_the_regex_path(self, tmp_path, monkeypatch, event_scope):
+        fed = []
+        monkeypatch.setattr(htmlscan._Scanner, "feed", lambda self, data: fed.append(data))
         config = SyntheticArchiveConfig(
             page_count=60,
             relevant_fraction=0.2,
@@ -241,6 +266,7 @@ class TestRegexTokenizer:
                 assert page.links and page.meta_dates and page.text
                 pages += 1
         assert pages >= config.page_count
+        assert fed == []
 
 
 _BASES = st.sampled_from(

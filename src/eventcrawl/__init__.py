@@ -20,7 +20,6 @@ from .crawler import (
     CrawlResult,
     CrawlStrategy,
     Frontier,
-    FrontierEntry,
     extract_outlinks,
     run_crawl,
     select_snapshot,

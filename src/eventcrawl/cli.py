@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 # fetch_document is unused here; bench/tracing.py checks that this module binds it.
@@ -150,6 +152,15 @@ def _load_inputs(args: argparse.Namespace):
     except (SpecParseError, SpecValidationError, OSError) as exc:
         print(f"error: invalid spec: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    if args.half_life_gamma:
+        # exp(-dt / (gamma / ln 2)) is 0.5 at dt == gamma, where exp(-dt / gamma) is 1/e.
+        ln2 = math.log(2.0)
+        temporal = replace(
+            spec.temporal,
+            lead_time=spec.temporal.lead_time / ln2,
+            cool_down_time=spec.temporal.cool_down_time / ln2,
+        )
+        spec = replace(spec, temporal=temporal)
     try:
         index = ArchiveIndex.open(args.index)
     except (OSError, ValueError) as exc:
@@ -175,7 +186,7 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     spec, index, idf = inputs
     # Resolves the reference documents, so a bad one stops the crawl before any write.
     try:
-        analysis = SnapshotAnalysis(spec, index, idf=idf, half_life_gamma=args.half_life_gamma)
+        analysis = SnapshotAnalysis(spec, index, idf=idf)
     except ValueError as exc:
         print(f"error: invalid spec: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -220,14 +231,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if isinstance(inputs, int):
         return inputs
     spec, index, idf = inputs
-    report = run_comparison(
-        spec,
-        index,
-        strategies,
-        args.checkpoint,
-        idf=idf,
-        half_life_gamma=args.half_life_gamma,
-    )
+    report = run_comparison(spec, index, strategies, args.checkpoint, idf=idf)
     series_path, summary_path = write_report_csvs(report, args.out)
     failed = [run for run in report.runs if run.error]
     for run in report.runs:

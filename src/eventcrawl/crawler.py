@@ -43,7 +43,6 @@ __all__ = [
     "CrawlResult",
     "CrawlStrategy",
     "Frontier",
-    "FrontierEntry",
     "SnapshotAnalysis",
     "TraceRecord",
     "extract_outlinks",
@@ -82,13 +81,6 @@ class CrawlStrategy(Enum):
         return score.combined
 
 
-@dataclass(frozen=True)
-class FrontierEntry:
-    url: str
-    priority: float
-    sequence: int
-
-
 class Frontier:
     """Max-priority queue of URLs with FIFO order among equal priorities.
 
@@ -99,7 +91,8 @@ class Frontier:
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, str]] = []
-        self._entries: dict[str, FrontierEntry] = {}
+        # url -> (-priority, sequence), the key of its live heap entry
+        self._entries: dict[str, tuple[float, int]] = {}
         self._sequence = itertools.count()
 
     def __len__(self) -> int:
@@ -110,22 +103,22 @@ class Frontier:
             raise ValueError("frontier priority must not be NaN")
         current = self._entries.get(url)
         if current is None:
-            entry = FrontierEntry(url, priority, next(self._sequence))
-        elif priority > current.priority:
-            entry = FrontierEntry(url, priority, current.sequence)
+            sequence = next(self._sequence)
+        elif -priority < current[0]:
+            sequence = current[1]
         else:
             return
-        self._entries[url] = entry
-        heapq.heappush(self._heap, (-entry.priority, entry.sequence, url))
+        self._entries[url] = (-priority, sequence)
+        heapq.heappush(self._heap, (-priority, sequence, url))
 
-    def pop(self) -> FrontierEntry:
+    def pop(self) -> tuple[str, float]:
+        """Remove and return the first ``(url, priority)``."""
         while self._heap:
             neg_priority, sequence, url = heapq.heappop(self._heap)
-            entry = self._entries.get(url)
-            if entry is None or entry.priority != -neg_priority or entry.sequence != sequence:
+            if self._entries.get(url) != (neg_priority, sequence):
                 continue  # superseded by a priority update
             del self._entries[url]
-            return entry
+            return url, -neg_priority
         raise IndexError("pop from an empty frontier")
 
 
@@ -194,7 +187,7 @@ class CrawlResult:
 
 
 class SnapshotAnalysis:
-    """Memoized analysis of snapshots under one spec, IDF and gamma setting.
+    """Memoized analysis of snapshots under one spec and IDF.
 
     Builds the spec's reference vector once. Calling it with a snapshot
     fetches, scans and scores that snapshot at most once and returns its
@@ -209,14 +202,12 @@ class SnapshotAnalysis:
         index: ArchiveIndex,
         *,
         idf: IdfDictionary | None = None,
-        half_life_gamma: bool = False,
     ) -> None:
         self._index = index
         self._spec = spec
         self._idf = idf or default_idf_dictionary()
         self._reference = build_reference_vector(spec.topical, self._idf, index=index)
         self._analyzer = get_analyzer(spec.topical.language)
-        self._half_life_gamma = half_life_gamma
         self._memo: dict[SnapshotRecord, CollectionItem | warc.MalformedRecord] = {}
 
     def __call__(self, snapshot: SnapshotRecord) -> CollectionItem | warc.MalformedRecord:
@@ -232,9 +223,7 @@ class SnapshotAnalysis:
         doc_vector = vectorize(self._analyzer.tokens(document.scanned().text), self._idf)
         topical = topical_relevance(doc_vector, self._reference)
         doc_time = extract_document_time(document)
-        temporal = temporal_relevance(
-            doc_time.epoch(), self._spec.temporal, half_life_gamma=self._half_life_gamma
-        )
+        temporal = temporal_relevance(doc_time.epoch(), self._spec.temporal)
         score = RelevanceScore.combine(topical, temporal, self._spec.alpha)
         return CollectionItem(snapshot, score, tuple(extract_outlinks(document)))
 
@@ -269,26 +258,24 @@ def run_crawl(
     step = 0
 
     while len(frontier) and len(collection) < spec.target_size:
-        entry = frontier.pop()
+        url, url_priority = frontier.pop()
         step += 1
-        snapshots = index.resolve_snapshots(entry.url)
+        snapshots = index.resolve_snapshots(url)
         if not snapshots:
-            missing.add(entry.url)
-            trace.append(TraceRecord(step, "miss", entry.url, entry.priority))
+            missing.add(url)
+            trace.append(TraceRecord(step, "miss", url, url_priority))
             continue
 
         snapshot = select_snapshot(snapshots, spec.temporal)
         item = analysis(snapshot)
         if isinstance(item, warc.MalformedRecord):
-            logger.warning("unreadable snapshot for %s: %s", entry.url, item)
-            missing.add(entry.url)
-            trace.append(
-                TraceRecord(step, "skip", entry.url, entry.priority, snapshot.capture_time)
-            )
+            logger.warning("unreadable snapshot for %s: %s", url, item)
+            missing.add(url)
+            trace.append(TraceRecord(step, "skip", url, url_priority, snapshot.capture_time))
             continue
 
         collection.append(item)
-        fetched.add(entry.url)
+        fetched.add(url)
 
         score = item.score
         priority = strategy.priority_for(score)
@@ -300,8 +287,8 @@ def run_crawl(
             TraceRecord(
                 step,
                 "fetch",
-                entry.url,
-                entry.priority,
+                url,
+                url_priority,
                 snapshot.capture_time,
                 score.topical,
                 score.temporal,

@@ -16,6 +16,7 @@ import logging
 import uuid
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import accumulate
 from pathlib import Path
 from random import Random
 
@@ -28,7 +29,7 @@ from .spec import (
     TopicalScope,
 )
 from .text import IdfDictionary
-from .timeutil import format_iso, parse_ts14
+from .timeutil import format_iso, format_ts14, parse_ts14
 from .warc import MalformedRecord, WarcWriter
 
 __all__ = [
@@ -106,8 +107,8 @@ def generate_archive(
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = Random(config.random_seed)
 
-    relevant_pool = [f"aquil{i}on" for i in range(60)]
-    background_pool = [f"breva{i}um" for i in range(2000)]
+    sample_relevant = _zipf_sampler([f"aquil{i}on" for i in range(60)])
+    sample_background = _zipf_sampler([f"breva{i}um" for i in range(2000)])
 
     n_relevant = round(config.page_count * config.relevant_fraction)
     n_decoy = round(config.page_count * config.decoy_fraction)
@@ -152,7 +153,7 @@ def generate_archive(
     def page_words(url: str) -> list[str]:
         label = labels[url]
         if label in (LABEL_RELEVANT, LABEL_DECOY):
-            words = _zipf_sample(rng, relevant_pool, config.page_word_count)
+            words = sample_relevant(rng, config.page_word_count)
             if config.separator_keyword:
                 # Confusable clusters: same topic vocabulary, but each
                 # carries its own marker (think two editions of a
@@ -167,13 +168,13 @@ def generate_archive(
                 for _ in range(n_sep):
                     words[rng.randrange(len(words))] = marker
             return words
-        return _zipf_sample(rng, background_pool, config.page_word_count)
+        return sample_background(rng, config.page_word_count)
 
     warc_path = out_dir / "pages.warc.gz"
     capture_times: dict[str, str] = {}
     with WarcWriter(warc_path, compress=True) as writer:
         for url in [hub_url] + urls:
-            ts14 = _epoch_to_ts14(capture_epochs[url])
+            ts14 = format_ts14(datetime.fromtimestamp(capture_epochs[url], tz=timezone.utc))
             capture_times[url] = ts14
             date_iso = format_iso(parse_ts14(ts14))
             html = _render_page(
@@ -186,7 +187,7 @@ def generate_archive(
                 record_id=f"urn:uuid:{uuid.uuid5(uuid.NAMESPACE_URL, url + '@' + ts14)}",
             )
 
-    reference_words = _zipf_sample(Random(config.random_seed + 1), relevant_pool, 400)
+    reference_words = sample_relevant(Random(config.random_seed + 1), 400)
     if config.separator_keyword:
         # The reference covers both confusable clusters with exactly
         # equal marker mass, so without the keyword it cannot tell
@@ -249,13 +250,15 @@ def _link_targets(
     return targets
 
 
-def _zipf_sample(rng: Random, pool: list[str], count: int) -> list[str]:
-    weights = [1.0 / (rank + 1) for rank in range(len(pool))]
-    return rng.choices(pool, weights=weights, k=count)
+def _zipf_sampler(pool: list[str]):
+    """Return ``sample(rng, count)``, drawing from ``pool`` with weight ``1/(rank+1)``.
 
-
-def _epoch_to_ts14(epoch: int) -> str:
-    return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime("%Y%m%d%H%M%S")
+    The cumulative weights are built once per pool. ``Random.choices``
+    accumulates ``weights=`` into this same list, so ``cum_weights=``
+    draws the same words.
+    """
+    cum_weights = list(accumulate(1.0 / (rank + 1) for rank in range(len(pool))))
+    return lambda rng, count: rng.choices(pool, cum_weights=cum_weights, k=count)
 
 
 def _render_page(
@@ -354,7 +357,6 @@ def run_comparison(
     checkpoint_interval: int,
     *,
     idf: IdfDictionary | None = None,
-    half_life_gamma: bool = False,
     evaluation_spec: CollectionSpecification | None = None,
 ) -> EvalReport:
     """Crawl once per strategy under identical spec and budget.
@@ -370,10 +372,9 @@ def run_comparison(
     """
     if checkpoint_interval < 1:
         raise ValueError("checkpoint interval must be positive")
-    settings = dict(idf=idf, half_life_gamma=half_life_gamma)
     measure = None
     if evaluation_spec is not None and evaluation_spec.topical != spec.topical:
-        measure = SnapshotAnalysis(evaluation_spec, index, **settings)
+        measure = SnapshotAnalysis(evaluation_spec, index, idf=idf)
     analysis = None
     runs: list[StrategyRun] = []
     for strategy in strategies:
@@ -382,7 +383,7 @@ def run_comparison(
             # Built inside the loop so that a reference that fails to
             # resolve is recorded on every strategy, as a crawl error.
             if analysis is None:
-                analysis = SnapshotAnalysis(spec, index, **settings)
+                analysis = SnapshotAnalysis(spec, index, idf=idf)
             result = run_crawl(spec, index, strategy, analysis=analysis)
         except Exception as exc:  # isolate per-strategy failures
             logger.error("strategy %s failed: %s", strategy.value, exc)

@@ -34,8 +34,6 @@ __all__ = [
     "topical_relevance",
 ]
 
-_LN2 = math.log(2.0)
-
 # Metadata fields tried in order; a fixed order keeps extraction
 # deterministic across pages that declare several of them.
 _META_DATE_FIELDS = ("article:published_time", "date", "dcterms.date", "dc.date.issued")
@@ -71,21 +69,13 @@ class RelevanceScore:
         return cls(topical, temporal, combined_relevance(topical, temporal, alpha))
 
 
-def temporal_relevance(
-    t_d: datetime | float,
-    scope: "TemporalScope",
-    *,
-    half_life_gamma: bool = False,
-) -> float:
+def temporal_relevance(t_d: datetime | float, scope: "TemporalScope") -> float:
     """Exponential-decay temporal relevance of a document time point.
 
     Returns 1 inside [event_start, event_end]; outside, exp(-dt/gamma)
     where dt is the distance in seconds to the nearest interval end and
     gamma the lead (before) or cool-down (after) duration. A zero gamma
     makes the corresponding side score 0 (no lead time / no cool-down).
-
-    With ``half_life_gamma`` the decay is rescaled so the score is 0.5
-    (instead of 1/e) at dt == gamma.
     """
     t = to_epoch(t_d) if isinstance(t_d, datetime) else float(t_d)
     start, end = scope.start_epoch, scope.end_epoch
@@ -97,8 +87,6 @@ def temporal_relevance(
     else:
         gamma = float(scope.cool_down_time)
         delta = t - end
-    if half_life_gamma:
-        gamma = gamma / _LN2
     if gamma <= 0.0:
         return 0.0
     return math.exp(-delta / gamma)

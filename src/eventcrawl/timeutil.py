@@ -81,7 +81,7 @@ def parse_duration(value: str | int | float) -> float:
 
     Accepts a bare number of seconds or a number with a one-letter unit:
     ``s`` seconds, ``h`` hours, ``d`` days, ``w`` weeks, ``m`` months
-    (30 days), ``y`` years (365 days).
+    (30 days), ``y`` years (365 days). Infinity is accepted.
     """
     if isinstance(value, (int, float)):
         seconds = float(value)
@@ -91,8 +91,8 @@ def parse_duration(value: str | int | float) -> float:
             raise ValueError(f"invalid duration: {value!r}")
         amount, unit = match.groups()
         seconds = float(amount) * _DURATION_UNITS[(unit or "s").lower()]
-    if seconds < 0:
-        raise ValueError(f"negative duration: {value!r}")
+    if not seconds >= 0:  # also true for NaN, which json.loads accepts
+        raise ValueError(f"negative or NaN duration: {value!r}")
     return seconds
 
 

@@ -1,12 +1,14 @@
+import csv
 import gzip
 import hashlib
 import json
+import math
 
 import pytest
 
 from eventcrawl.cli import main
 
-from conftest import write_warc
+from conftest import page_html, write_warc
 
 
 @pytest.fixture
@@ -187,6 +189,54 @@ class TestCrawlCommand:
         assert main(["eval", *argv]) == 3
 
 
+def test_half_life_gamma_scores_half_one_lead_or_cool_down_away(spec_path, tmp_path):
+    # The spec's interval is 2011-03-01T00:00:00 .. 2011-03-14T23:59:59,
+    # with a lead of 2 weeks and a cool-down of 4 weeks.
+    warc_dir = tmp_path / "warcs"
+    warc_dir.mkdir()
+    before, after = "http://e.de/before", "http://e.de/after"
+
+    def published(when):
+        return page_html(meta={"article:published_time": when})
+
+    write_warc(
+        warc_dir / "one.warc.gz",
+        [
+            {"url": "http://e.de/seed", "body": page_html("alpha", [before, after])},
+            {"url": before, "body": published("2011-02-15T00:00:00Z")},
+            {"url": after, "body": published("2011-04-11T23:59:59Z")},
+        ],
+    )
+    index_path = tmp_path / "i.cdx"
+    assert main(["index", "--warc-dir", str(warc_dir), "--index", str(index_path)]) == 0
+    temporal = {}
+    for flags, name in (([], "e"), (["--half-life-gamma"], "half")):
+        out_dir = tmp_path / name
+        argv = ["--spec", str(spec_path), "--index", str(index_path), "--out", str(out_dir)]
+        assert main(["crawl", *argv, *flags]) == 0
+        with open(out_dir / "trace.csv", encoding="utf-8", newline="") as handle:
+            temporal[name] = {row["url"]: float(row["temporal"]) for row in csv.DictReader(handle)}
+    for url in (before, after):
+        assert temporal["e"][url] == pytest.approx(math.exp(-1), abs=1e-12)
+        assert temporal["half"][url] == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("command", ["validate", "crawl", "eval"])
+def test_nan_duration_is_invalid_spec(command, archive_dir, spec_path, tmp_path, capsys):
+    index_path = tmp_path / "i.cdx"
+    assert main(["index", "--warc-dir", str(archive_dir), "--index", str(index_path)]) == 0
+    body = json.loads(spec_path.read_text(encoding="utf-8"))
+    body["temporal"]["lead_time"] = float("nan")
+    spec = tmp_path / "nan.json"
+    spec.write_text(json.dumps(body), encoding="utf-8")  # writes the bare token NaN
+    argv = [command, "--spec", str(spec)]
+    if command != "validate":
+        argv += ["--index", str(index_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "NaN duration" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["crawl", "eval"])
 @pytest.mark.parametrize("fault", ["missing", "no-header", "corpus-size-without-number"])
 def test_unreadable_idf_is_usage_error(command, fault, archive_dir, spec_path, tmp_path, capsys):
@@ -331,8 +381,20 @@ GOLDEN_DIGESTS = {
     "summary.csv": "517851f41da3a0692c8ae4849104e53c04be00541d35e0e4323ba51412a9d521",
 }
 
+# The same run with --half-life-gamma on crawl and eval.
+GOLDEN_DIGESTS_HALF_LIFE = {
+    **GOLDEN_DIGESTS,
+    "manifest.csv": "97c67d9e1d1b53cb54b1e00cf88534642f0a9610d717eefb047186389dc18407",
+    "trace.csv": "28656be75986921fde60e59f37eb6b952e17b77e709c9d4efed5e89e0fcc29d1",
+}
 
-def test_outputs_match_golden_digests(tmp_path, capsys):
+
+@pytest.mark.parametrize(
+    "flags, golden",
+    [([], GOLDEN_DIGESTS), (["--half-life-gamma"], GOLDEN_DIGESTS_HALF_LIFE)],
+    ids=["no-flag", "half-life-gamma"],
+)
+def test_outputs_match_golden_digests(flags, golden, tmp_path, capsys):
     gen, crawl_dir, eval_dir = tmp_path / "gen", tmp_path / "crawl", tmp_path / "eval"
     index_path = tmp_path / "index.cdx"
     spec = str(gen / "spec.json")
@@ -340,9 +402,9 @@ def test_outputs_match_golden_digests(tmp_path, capsys):
         ["gen", "--out", str(gen), "--seed", "11", "--pages", "300",
          "--omit-fraction", "0.03", "--target-size", "100"],
         ["index", "--warc-dir", str(gen), "--index", str(index_path)],
-        ["crawl", "--spec", spec, "--index", str(index_path), "--out", str(crawl_dir)],
+        ["crawl", "--spec", spec, "--index", str(index_path), "--out", str(crawl_dir), *flags],
         ["eval", "--spec", spec, "--index", str(index_path), "--checkpoint", "25",
-         "--out", str(eval_dir)],
+         "--out", str(eval_dir), *flags],
     ]
     for argv in argv_list:
         assert main(argv) == 0, argv
@@ -357,4 +419,4 @@ def test_outputs_match_golden_digests(tmp_path, capsys):
     for name in ("accumulated_relevance.csv", "summary.csv"):
         outputs[name] = (eval_dir / name).read_bytes()
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
-    assert digests == GOLDEN_DIGESTS
+    assert digests == golden

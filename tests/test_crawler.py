@@ -88,8 +88,8 @@ class TestFrontier:
         frontier.push("http://e.de/a", 0.5)
         frontier.push("http://e.de/b", 0.9)
         frontier.push("http://e.de/c", 0.5)
-        order = [frontier.pop().url for _ in range(3)]
-        assert order == ["http://e.de/b", "http://e.de/a", "http://e.de/c"]
+        order = [frontier.pop() for _ in range(3)]
+        assert order == [("http://e.de/b", 0.9), ("http://e.de/a", 0.5), ("http://e.de/c", 0.5)]
 
     def test_url_uniqueness_and_priority_upgrade(self):
         frontier = Frontier()
@@ -97,15 +97,13 @@ class TestFrontier:
         frontier.push("http://e.de/b", 0.5)
         frontier.push("http://e.de/a", 0.9)  # upgrade, keeps original sequence
         assert len(frontier) == 2
-        entry = frontier.pop()
-        assert entry.url == "http://e.de/a" and entry.priority == 0.9
-        assert entry.sequence == 0
+        assert frontier.pop() == ("http://e.de/a", 0.9)
 
     def test_downgrade_ignored(self):
         frontier = Frontier()
         frontier.push("http://e.de/a", 0.9)
         frontier.push("http://e.de/a", 0.1)
-        assert frontier.pop().priority == 0.9
+        assert frontier.pop() == ("http://e.de/a", 0.9)
         assert len(frontier) == 0
 
     def test_pop_empty_raises(self):
@@ -139,7 +137,8 @@ class TestFrontier:
                 oracle[url] = (priority, oracle[url][1])
         popped = []
         while len(frontier):
-            popped.append(frontier.pop().url)
+            url, _ = frontier.pop()
+            popped.append(url)
         expected = [
             url
             for url, _ in sorted(oracle.items(), key=lambda kv: (-kv[1][0], kv[1][1]))

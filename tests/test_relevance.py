@@ -60,15 +60,6 @@ class TestTemporalRelevance:
         scope = scope_at(1000, 2000, lead=500.0, cool=0.0)
         assert temporal_relevance(2000.5, scope) == 0.0
 
-    def test_half_life_rescaling(self):
-        scope = scope_at(1000, 2000, lead=100.0, cool=100.0)
-        assert temporal_relevance(2100.0, scope, half_life_gamma=True) == pytest.approx(
-            0.5, abs=1e-12
-        )
-        assert temporal_relevance(900.0, scope, half_life_gamma=True) == pytest.approx(
-            0.5, abs=1e-12
-        )
-
     @given(
         start=st.integers(0, 10**9),
         length=st.integers(0, 10**7),

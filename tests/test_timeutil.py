@@ -53,6 +53,7 @@ def test_format_iso_is_utc_zulu():
         ("6m", 180 * 86400.0),
         ("1y", 365 * 86400.0),
         (90, 90.0),
+        (float("inf"), float("inf")),  # no decay
     ],
 )
 def test_duration_units(text, seconds):
@@ -60,7 +61,7 @@ def test_duration_units(text, seconds):
 
 
 def test_duration_rejects_garbage():
-    for bad in ("", "fast", "3 fortnights", "-2d"):
+    for bad in ("", "fast", "3 fortnights", "-2d", float("nan")):
         with pytest.raises(ValueError):
             parse_duration(bad)
 

@@ -13,7 +13,6 @@ from .archive import (
     SnapshotRecord,
     build_index,
     fetch_document,
-    resolve_snapshots,
     write_collection,
 )
 from .crawler import (
@@ -61,7 +60,6 @@ from .text import (
     analyze,
     build_idf_dictionary,
     build_reference_vector,
-    extract_text,
     load_idf_dictionary,
     save_idf_dictionary,
     vectorize,

@@ -34,7 +34,6 @@ __all__ = [
     "SnapshotRecord",
     "build_index",
     "fetch_document",
-    "resolve_snapshots",
     "write_collection",
 ]
 
@@ -152,10 +151,6 @@ class ArchiveIndex:
 
     def urls(self) -> Iterator[str]:
         return iter(self._entries)
-
-
-def resolve_snapshots(index: ArchiveIndex, url: str) -> list[SnapshotRecord]:
-    return index.resolve_snapshots(url)
 
 
 _HTML_TYPES = ("text/html", "application/xhtml")

@@ -66,6 +66,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--verbose", action="store_true", help="debug logging")
+    # The inputs of a crawl or eval, which _load_inputs reads.
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--spec", required=True, help="collection spec JSON file")
+    inputs.add_argument("--index", required=True, help="index file")
+    inputs.add_argument("--out", required=True, help="output directory")
+    inputs.add_argument("--idf", help="IDF dictionary file (default: bundled)")
+    inputs.add_argument(
+        "--half-life-gamma",
+        action="store_true",
+        help="treat lead/cool-down as the half-life of the decay instead of 1/e",
+    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -74,52 +85,57 @@ def _build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--index", required=True, help="index file to write")
     p_index.set_defaults(handler=cmd_index)
 
-    p_crawl = sub.add_parser("crawl", parents=[common], help="run a focused extraction")
-    p_crawl.add_argument("--spec", required=True, help="collection spec JSON file")
-    p_crawl.add_argument("--index", required=True, help="index file")
+    p_crawl = sub.add_parser("crawl", parents=[common, inputs], help="run a focused extraction")
     p_crawl.add_argument("--strategy", default="ct-f", help="unfocused | c-f | t-f | ct-f")
-    p_crawl.add_argument("--out", required=True, help="output directory")
-    p_crawl.add_argument("--idf", help="IDF dictionary file (default: bundled)")
-    p_crawl.add_argument(
-        "--half-life-gamma",
-        action="store_true",
-        help="treat lead/cool-down as the half-life of the decay instead of 1/e",
-    )
     p_crawl.set_defaults(handler=cmd_crawl)
 
-    p_eval = sub.add_parser("eval", parents=[common], help="compare crawl strategies")
-    p_eval.add_argument("--spec", required=True)
-    p_eval.add_argument("--index", required=True)
+    p_eval = sub.add_parser("eval", parents=[common, inputs], help="compare crawl strategies")
     p_eval.add_argument(
         "--strategy",
         default="all",
         help="comma-separated strategies, or 'all' (default)",
     )
     p_eval.add_argument("--checkpoint", type=int, default=100, help="checkpoint interval")
-    p_eval.add_argument("--out", required=True)
-    p_eval.add_argument("--idf", help="IDF dictionary file (default: bundled)")
-    p_eval.add_argument("--half-life-gamma", action="store_true")
     p_eval.set_defaults(handler=cmd_eval)
 
     p_validate = sub.add_parser("validate", parents=[common], help="validate a spec file")
-    p_validate.add_argument("--spec", required=True)
+    p_validate.add_argument("--spec", required=True, help="collection spec JSON file")
     p_validate.set_defaults(handler=cmd_validate)
 
     p_gen = sub.add_parser("gen", parents=[common], help="generate a synthetic archive")
-    p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--pages", type=int, default=1000)
-    p_gen.add_argument("--relevant-fraction", type=float, default=0.1)
-    p_gen.add_argument("--locality", type=float, default=0.8)
-    p_gen.add_argument("--omit-fraction", type=float, default=0.0)
-    p_gen.add_argument("--decoy-fraction", type=float, default=0.0)
+    p_gen.add_argument("--out", required=True, help="output directory")
+    p_gen.add_argument("--seed", type=int, default=0, help="random seed")
+    p_gen.add_argument("--pages", type=int, default=1000, help="number of pages")
+    p_gen.add_argument(
+        "--relevant-fraction", type=float, default=0.1, help="share of event-relevant pages"
+    )
+    p_gen.add_argument(
+        "--locality",
+        type=float,
+        default=0.8,
+        help="chance that a cluster page links within its cluster",
+    )
+    p_gen.add_argument(
+        "--omit-fraction",
+        type=float,
+        default=0.0,
+        help="share of linked pages left out of the archive",
+    )
+    p_gen.add_argument(
+        "--decoy-fraction",
+        type=float,
+        default=0.0,
+        help="share of decoy pages without the separator keyword",
+    )
     p_gen.add_argument("--keyword", help="separator keyword for the decoy setup")
-    p_gen.add_argument("--event-start", default="2011-03-01")
-    p_gen.add_argument("--event-end", default="2011-03-14")
+    p_gen.add_argument("--event-start", default="2011-03-01", help="event start (ISO-8601)")
+    p_gen.add_argument("--event-end", default="2011-03-14", help="event end (ISO-8601)")
     p_gen.add_argument("--lead", default="2w", help="lead time (e.g. 2w)")
     p_gen.add_argument("--cool-down", default="4w", help="cool-down time (e.g. 4w)")
     p_gen.add_argument("--spread", default="180d", help="background capture-time spread")
-    p_gen.add_argument("--target-size", type=int, default=1000)
+    p_gen.add_argument(
+        "--target-size", type=int, default=1000, help="target_size of the written spec"
+    )
     p_gen.set_defaults(handler=cmd_gen)
 
     return parser

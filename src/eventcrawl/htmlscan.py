@@ -78,7 +78,7 @@ _OUTSIDE_SUBSET = {"xmp", "iframe", "noembed", "noframes", "plaintext"}
 class ScannedPage:
     """Everything later stages need from one HTML document."""
 
-    text: str = ""
+    text: str = ""  # no tags, script or style; entities decoded, spaces collapsed
     links: list[str] = field(default_factory=list)  # raw hrefs, document order
     base_href: str | None = None
     meta_dates: dict[str, str] = field(default_factory=dict)  # lowercased key -> content
@@ -154,7 +154,6 @@ def decode_html_bytes(body: bytes, declared_charset: str | None = None) -> str:
     match = _META_CHARSET_RE.search(body[:2048])
     if match:
         charsets.append(match.group(1).decode("ascii", "replace"))
-    charsets.append("utf-8")
     for charset in charsets:
         try:
             return body.decode(charset, errors="replace")

@@ -41,6 +41,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime
 from pathlib import Path
 
+from .stem import STEMMERS
 from .timeutil import format_iso, parse_duration, parse_iso8601, to_epoch
 from .urlnorm import CanonicalizationError, canonicalize_url
 
@@ -126,8 +127,6 @@ class CollectionSpecification:
 
 def validate_spec(spec: CollectionSpecification) -> list[Diagnostic]:
     """Check every invariant; an empty list means the spec is valid."""
-    from .text import known_languages
-
     problems: list[Diagnostic] = []
     if not spec.name or not spec.name.strip():
         problems.append(Diagnostic("name", "name must be non-empty"))
@@ -136,9 +135,9 @@ def validate_spec(spec: CollectionSpecification) -> list[Diagnostic]:
         problems.append(
             Diagnostic("temporal.event_start", "event_start must not be after event_end")
         )
-    if spec.temporal.lead_time < 0:
+    if not spec.temporal.lead_time >= 0:  # also true for NaN
         problems.append(Diagnostic("temporal.lead_time", "lead_time must be >= 0"))
-    if spec.temporal.cool_down_time < 0:
+    if not spec.temporal.cool_down_time >= 0:
         problems.append(
             Diagnostic("temporal.cool_down_time", "cool_down_time must be >= 0")
         )
@@ -167,12 +166,12 @@ def validate_spec(spec: CollectionSpecification) -> list[Diagnostic]:
             problems.append(
                 Diagnostic(f"topical.keywords[{i}]", "keywords must be non-empty strings")
             )
-    if spec.topical.language not in known_languages():
+    if spec.topical.language not in STEMMERS:
         problems.append(
             Diagnostic(
                 "topical.language",
                 f"unknown language {spec.topical.language!r}; "
-                f"known: {', '.join(sorted(known_languages()))}",
+                f"known: {', '.join(sorted(STEMMERS))}",
             )
         )
 

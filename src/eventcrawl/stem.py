@@ -1,13 +1,13 @@
 """Suffix-stripping stemmers for the analysis pipeline.
 
 English uses the classic Porter algorithm; German a light stemmer
-(umlaut folding plus plural/case ending removal). ``identity`` keeps
+(umlaut folding plus plural/case ending removal). ``none`` keeps
 tokens unchanged and exists so tests can pin exact terms.
 """
 
 from __future__ import annotations
 
-__all__ = ["get_stemmer", "porter_stem", "german_light_stem"]
+__all__ = ["STEMMERS", "porter_stem", "german_light_stem"]
 
 _VOWELS = set("aeiou")
 
@@ -181,10 +181,9 @@ def german_light_stem(word: str) -> str:
     return word
 
 
-def get_stemmer(language: str):
-    """Return the stem function for a language code; None if unknown."""
-    return {
-        "en": porter_stem,
-        "de": german_light_stem,
-        "none": lambda token: token,
-    }.get(language)
+# The analysis languages: language code -> stem function.
+STEMMERS = {
+    "en": porter_stem,
+    "de": german_light_stem,
+    "none": lambda token: token,
+}

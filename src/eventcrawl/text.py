@@ -16,13 +16,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
-from .stem import get_stemmer
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .archive import ArchiveIndex, ArchivedDocument
-    from .spec import TopicalScope
+from .archive import ArchiveIndex, fetch_document
+from .spec import TopicalScope
+from .stem import STEMMERS
 
 __all__ = [
     "Analyzer",
@@ -33,21 +31,13 @@ __all__ = [
     "build_idf_dictionary",
     "build_reference_vector",
     "default_idf_dictionary",
-    "extract_text",
     "get_analyzer",
-    "known_languages",
     "load_idf_dictionary",
     "save_idf_dictionary",
     "vectorize",
 ]
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-
-_LANGUAGES = ("en", "de", "none")
-
-
-def known_languages() -> tuple[str, ...]:
-    return _LANGUAGES
 
 
 def _load_stopwords(language: str) -> frozenset[str]:
@@ -66,7 +56,7 @@ class Analyzer:
     """Lowercase, drop stop words, stem. Deterministic and reusable."""
 
     def __init__(self, language: str):
-        stemmer = get_stemmer(language)
+        stemmer = STEMMERS.get(language)
         if stemmer is None:
             raise ValueError(f"unknown language: {language!r}")
         self.language = language
@@ -261,11 +251,11 @@ def keyword_token_set(keywords: Iterable[str], language: str) -> frozenset[str]:
 
 
 def build_reference_vector(
-    topical: "TopicalScope",
+    topical: TopicalScope,
     idf: IdfDictionary,
     boost: KeywordBoost | None = None,
     *,
-    index: "ArchiveIndex | None" = None,
+    index: ArchiveIndex | None = None,
 ) -> TermVector:
     """Vectorize the topical scope: concatenated reference texts, boosted.
 
@@ -282,7 +272,7 @@ def build_reference_vector(
 
 
 def resolve_reference_texts(
-    topical: "TopicalScope", *, index: "ArchiveIndex | None" = None
+    topical: TopicalScope, *, index: ArchiveIndex | None = None
 ) -> list[str]:
     """Materialize reference documents as plain text.
 
@@ -304,23 +294,12 @@ def resolve_reference_texts(
                 raise ValueError(
                     f"reference document {ref.value!r} needs an archive index"
                 )
-            from .archive import fetch_document  # local import breaks the cycle
-
             snapshots = index.resolve_snapshots(ref.value)
             if not snapshots:
                 raise ValueError(
                     f"unresolvable reference document: {ref.value!r} not in archive"
                 )
-            texts.append(extract_text(fetch_document(index, snapshots[0])))
+            texts.append(fetch_document(index, snapshots[0]).scanned().text)
         else:
             raise ValueError(f"unknown reference document kind: {ref.kind!r}")
     return texts
-
-
-def extract_text(document: "ArchivedDocument") -> str:
-    """Visible text of an archived HTML document.
-
-    Tags are stripped, script/style content removed, entities decoded,
-    whitespace collapsed. Decoding errors are replaced, never fatal.
-    """
-    return document.scanned().text

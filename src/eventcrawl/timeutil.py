@@ -7,7 +7,7 @@ use the 14-digit ``YYYYMMDDhhmmss`` form and must round-trip exactly.
 from __future__ import annotations
 
 import re
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 
 __all__ = [
     "format_iso",
@@ -45,14 +45,17 @@ def parse_ts14(value: str) -> datetime:
 
 
 def format_ts14(when: datetime) -> str:
-    return _as_utc(when).strftime("%Y%m%d%H%M%S")
+    # strftime("%Y") does not zero-pad years below 1000 on every platform.
+    t = _as_utc(when)
+    return f"{t.year:04d}{t.month:02d}{t.day:02d}{t.hour:02d}{t.minute:02d}{t.second:02d}"
 
 
 def parse_iso8601(value: str, *, end_of_day: bool = False) -> datetime:
     """Parse an ISO-8601 date or date-time into an aware UTC datetime.
 
-    Date-only values expand to 00:00:00, or 23:59:59 when ``end_of_day``
-    is set. Naive date-times are taken as UTC.
+    Date-only values (any form ``date.fromisoformat`` accepts) expand to
+    00:00:00, or 23:59:59 when ``end_of_day`` is set. Naive date-times
+    are taken as UTC. A value outside the UTC range raises ValueError.
     """
     text = value.strip()
     if not text:
@@ -63,13 +66,19 @@ def parse_iso8601(value: str, *, end_of_day: bool = False) -> datetime:
         parsed = datetime.fromisoformat(text)
     except ValueError as exc:
         raise ValueError(f"invalid ISO-8601 timestamp: {value!r}") from exc
-    if len(text) == 10 and end_of_day:
-        parsed = parsed + timedelta(hours=23, minutes=59, seconds=59)
+    if end_of_day:
+        try:
+            date.fromisoformat(text)
+        except ValueError:
+            pass  # the value has a time
+        else:
+            parsed = parsed + timedelta(hours=23, minutes=59, seconds=59)
     return _as_utc(parsed)
 
 
 def format_iso(when: datetime) -> str:
-    return _as_utc(when).strftime("%Y-%m-%dT%H:%M:%SZ")
+    t = _as_utc(when)
+    return f"{t.year:04d}-{t.month:02d}-{t.day:02d}T{t.hour:02d}:{t.minute:02d}:{t.second:02d}Z"
 
 
 def to_epoch(when: datetime) -> float:
@@ -99,4 +108,7 @@ def parse_duration(value: str | int | float) -> float:
 def _as_utc(when: datetime) -> datetime:
     if when.tzinfo is None:
         return when.replace(tzinfo=timezone.utc)
-    return when.astimezone(timezone.utc)
+    try:
+        return when.astimezone(timezone.utc)
+    except OverflowError:  # e.g. 0001-01-01T00:00:00+01:00
+        raise ValueError(f"outside the UTC date range: {when.isoformat()}") from None

@@ -54,7 +54,6 @@ class RawRecord:
 
     offset: int
     length: int
-    version: str
     headers: tuple[tuple[str, str], ...]
     block: bytes
 
@@ -205,7 +204,7 @@ def _parse_record_bytes(
     block = raw[body_start : body_start + content_length]
     if len(block) != content_length:
         raise MalformedRecord("record block truncated", path, offset)
-    return RawRecord(offset, length, version, tuple(headers), block)
+    return RawRecord(offset, length, tuple(headers), block)
 
 
 def iter_raw_records(path: str | Path) -> Iterator[RawRecord | MalformedRecord]:
@@ -301,17 +300,15 @@ def build_response_record(
     record_id: str,
     http_status: int = 200,
     media_type: str = "text/html",
-    charset: str | None = "utf-8",
     warc_version: str = "WARC/1.0",
 ) -> bytes:
     """Serialize one uncompressed response record, trailing CRLFs included."""
-    content_type = media_type if charset is None else f"{media_type}; charset={charset}"
     reason = {200: "OK", 301: "Moved Permanently", 302: "Found", 404: "Not Found"}.get(
         http_status, "Unknown"
     )
     http_head = (
         f"HTTP/1.1 {http_status} {reason}\r\n"
-        f"Content-Type: {content_type}\r\n"
+        f"Content-Type: {media_type}; charset=utf-8\r\n"
         f"Content-Length: {len(payload)}\r\n\r\n"
     ).encode("ascii")
     block = http_head + payload

@@ -12,7 +12,6 @@ from eventcrawl.archive import (
     SnapshotRecord,
     build_index,
     fetch_document,
-    resolve_snapshots,
     write_collection,
 )
 from eventcrawl.urlnorm import CanonicalizationError, canonicalize_url
@@ -59,6 +58,19 @@ class TestBuildIndex:
         assert summary.url_count == 0 and summary.record_count == 0
         assert ArchiveIndex.open(tmp_path / "index.cdx").record_count == 0
 
+    def test_warc_date_outside_the_utc_range_is_skipped(self, tmp_path):
+        write_warc(
+            tmp_path / "a.warc.gz",
+            [
+                {"url": "http://e.de/early", "body": "x", "date_iso": "0001-01-01T00:00:00+01:00"},
+                {"url": "http://e.de/late", "body": "x", "date_iso": "9999-12-31T23:59:59-01:00"},
+                {"url": "http://e.de/ok", "body": "x"},
+            ],
+        )
+        summary = build_index([tmp_path / "a.warc.gz"], tmp_path / "index.cdx")
+        assert summary.record_count == 1
+        assert list(ArchiveIndex.open(tmp_path / "index.cdx").urls()) == ["http://e.de/ok"]
+
     def test_multi_capture_matches_reference_reader(self, tmp_path):
         pages = [
             {"url": "http://e.de/x", "body": f"version {i}", "date_iso": d}
@@ -75,7 +87,7 @@ class TestBuildIndex:
             for r in reference_scan(path)
             if r["status"] == 200
         )
-        snapshots = resolve_snapshots(index, "http://e.de/x")
+        snapshots = index.resolve_snapshots("http://e.de/x")
         assert [s.capture_time for s in snapshots] == expected
         assert index.url_count == 1 and index.record_count == 3
 
@@ -145,7 +157,7 @@ class TestIndexLines:
         path = write_warc(tmp_path / "a.warc.gz", [{"url": "http://a.test/b c", "body": "x"}])
         build_index([path], tmp_path / "index.cdx")
         index = ArchiveIndex.open(tmp_path / "index.cdx")
-        (snapshot,) = resolve_snapshots(index, "http://a.test/b c")
+        (snapshot,) = index.resolve_snapshots("http://a.test/b c")
         assert snapshot.canonical_url == "http://a.test/b%20c"
         assert fetch_document(index, snapshot).body == b"x"
 
@@ -156,7 +168,7 @@ class TestIndexLines:
         )
         build_index([path], tmp_path / "index.cdx")
         index = ArchiveIndex.open(tmp_path / "index.cdx")
-        (snapshot,) = resolve_snapshots(index, "http://a.test/")
+        (snapshot,) = index.resolve_snapshots("http://a.test/")
         assert snapshot.media_type == "text/html"
         assert fetch_document(index, snapshot).body == b"x"
 
@@ -166,14 +178,14 @@ class TestResolveSnapshots:
         write_warc(tmp_path / "a.warc.gz", [{"url": "http://e.de/1", "body": "x"}])
         build_index([tmp_path / "a.warc.gz"], tmp_path / "index.cdx")
         index = ArchiveIndex.open(tmp_path / "index.cdx")
-        assert resolve_snapshots(index, "http://e.de/absent") == []
+        assert index.resolve_snapshots("http://e.de/absent") == []
 
     def test_fragment_resolves_to_same_snapshots(self, tmp_path):
         write_warc(tmp_path / "a.warc.gz", [{"url": "http://e.de/page", "body": "x"}])
         build_index([tmp_path / "a.warc.gz"], tmp_path / "index.cdx")
         index = ArchiveIndex.open(tmp_path / "index.cdx")
-        assert resolve_snapshots(index, "http://e.de/page#x") == resolve_snapshots(
-            index, "http://e.de/page"
+        assert index.resolve_snapshots("http://e.de/page#x") == index.resolve_snapshots(
+            "http://e.de/page"
         )
 
     def test_repeated_calls_identical(self, tmp_path):
@@ -186,8 +198,8 @@ class TestResolveSnapshots:
         )
         build_index([tmp_path / "a.warc.gz"], tmp_path / "index.cdx")
         index = ArchiveIndex.open(tmp_path / "index.cdx")
-        assert resolve_snapshots(index, "http://e.de/p") == resolve_snapshots(
-            index, "http://e.de/p"
+        assert index.resolve_snapshots("http://e.de/p") == index.resolve_snapshots(
+            "http://e.de/p"
         )
 
     def test_open_fails_when_warc_moved(self, tmp_path):
@@ -209,7 +221,7 @@ class TestFetchDocument:
         index = ArchiveIndex.open(tmp_path / "index.cdx")
         reference = {r["url"]: r["payload"] for r in reference_scan(path)}
         for url in index.urls():
-            doc = fetch_document(index, resolve_snapshots(index, url)[0])
+            doc = fetch_document(index, index.resolve_snapshots(url)[0])
             assert hashlib.sha256(doc.body).hexdigest() == hashlib.sha256(
                 reference[url]
             ).hexdigest()
@@ -218,14 +230,14 @@ class TestFetchDocument:
         path = write_warc(tmp_path / "a.warc.gz", [{"url": "http://e.de/h", "body": "hello"}])
         build_index([path], tmp_path / "index.cdx")
         index = ArchiveIndex.open(tmp_path / "index.cdx")
-        doc = fetch_document(index, resolve_snapshots(index, "http://e.de/h")[0])
+        doc = fetch_document(index, index.resolve_snapshots("http://e.de/h")[0])
         assert doc.body == b"hello"
 
     def test_corrupt_offset_is_hard_error(self, tmp_path):
         path = write_warc(tmp_path / "a.warc.gz", [{"url": "http://e.de/h", "body": "hello"}])
         build_index([path], tmp_path / "index.cdx")
         index = ArchiveIndex.open(tmp_path / "index.cdx")
-        snapshot = resolve_snapshots(index, "http://e.de/h")[0]
+        snapshot = index.resolve_snapshots("http://e.de/h")[0]
         broken = SnapshotRecord(
             snapshot.canonical_url,
             snapshot.capture_time,
@@ -252,7 +264,7 @@ class TestWriteCollection:
             ],
         )
         docs = [
-            (fetch_document(index, resolve_snapshots(index, url)[0]), 0.5)
+            (fetch_document(index, index.resolve_snapshots(url)[0]), 0.5)
             for url in ["http://e.de/1", "http://e.de/2"]
         ]
         manifest = write_collection(docs, tmp_path / "out")
@@ -264,11 +276,11 @@ class TestWriteCollection:
             tmp_path,
             [{"url": "http://e.de/1", "body": "one", "date_iso": "2001-07-02T03:04:05Z"}],
         )
-        doc = fetch_document(index, resolve_snapshots(index, "http://e.de/1")[0])
+        doc = fetch_document(index, index.resolve_snapshots("http://e.de/1")[0])
         manifest = write_collection([(doc, 1.0)], tmp_path / "out")
         build_index([manifest.warc_path], tmp_path / "out" / "re.cdx")
         re_index = ArchiveIndex.open(tmp_path / "out" / "re.cdx")
-        assert resolve_snapshots(re_index, "http://e.de/1")[0].capture_time == "20010702030405"
+        assert re_index.resolve_snapshots("http://e.de/1")[0].capture_time == "20010702030405"
 
     def test_edge_list_restricted_to_collection(self, tmp_path):
         index = self._indexed(
@@ -284,7 +296,7 @@ class TestWriteCollection:
             ],
         )
         docs = [
-            (fetch_document(index, resolve_snapshots(index, url)[0]), 0.1)
+            (fetch_document(index, index.resolve_snapshots(url)[0]), 0.1)
             for url in ["http://e.de/src", "http://e.de/in"]
         ]
         manifest = write_collection(docs, tmp_path / "out")
@@ -300,7 +312,7 @@ class TestWriteCollection:
         )
         build_index([zipped, plain], tmp_path / "index.cdx")
         index = ArchiveIndex.open(tmp_path / "index.cdx")
-        snapshots = [resolve_snapshots(index, url)[0] for url in ("http://e.de/z", "http://e.de/p")]
+        snapshots = [index.resolve_snapshots(url)[0] for url in ("http://e.de/z", "http://e.de/p")]
         spans = [Path(s.warc_file).read_bytes()[s.offset : s.offset + s.length] for s in snapshots]
         manifest = write_collection(
             [(fetch_document(index, s), 0.5) for s in snapshots], tmp_path / "out"

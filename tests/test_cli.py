@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gzip
 import hashlib
@@ -6,7 +7,7 @@ import math
 
 import pytest
 
-from eventcrawl.cli import main
+from eventcrawl.cli import _build_parser, main
 
 from conftest import page_html, write_warc
 
@@ -219,6 +220,60 @@ def test_half_life_gamma_scores_half_one_lead_or_cool_down_away(spec_path, tmp_p
     for url in (before, after):
         assert temporal["e"][url] == pytest.approx(math.exp(-1), abs=1e-12)
         assert temporal["half"][url] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_dates_at_the_ends_of_the_calendar_index_crawl_and_eval(spec_path, tmp_path, capsys):
+    warc_dir = tmp_path / "warcs"
+    warc_dir.mkdir()
+    old, late = "http://e.de/old", "http://e.de/late"
+    too_late = "9999-12-31T23:59:59-01:00"
+    write_warc(
+        warc_dir / "one.warc.gz",
+        [
+            {"url": "http://e.de/seed", "body": page_html("alpha", [old, late])},
+            {"url": old, "body": page_html("alpha"), "date_iso": "0999-01-01T00:00:00Z"},
+            # A meta date that leaves the UTC range falls through to the capture time.
+            {"url": late, "body": page_html(meta={"article:published_time": too_late})},
+        ],
+    )
+    index_path = tmp_path / "i.cdx"
+    assert main(["index", "--warc-dir", str(warc_dir), "--index", str(index_path)]) == 0
+    assert "indexed 3 records for 3 URLs" in capsys.readouterr().out
+    argv = ["--spec", str(spec_path), "--index", str(index_path)]
+    assert main(["crawl", *argv, "--out", str(tmp_path / "crawl")]) == 0
+    with open(tmp_path / "crawl" / "manifest.csv", encoding="utf-8", newline="") as handle:
+        captures = {row["url"]: row["capture_time"] for row in csv.DictReader(handle)}
+    assert captures[old] == "09990101000000"
+    with open(tmp_path / "crawl" / "trace.csv", encoding="utf-8", newline="") as handle:
+        temporal = {row["url"]: float(row["temporal"]) for row in csv.DictReader(handle)}
+    assert temporal[late] == 1.0  # captured inside the event interval
+    assert main(["eval", *argv, "--out", str(tmp_path / "eval")]) == 0
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = _build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_every_option_has_help_text():
+    missing = [
+        f"{name} {action.option_strings[-1]}"
+        for name, sub in _subcommands().items()
+        for action in sub._actions
+        if action.option_strings and not action.help
+    ]
+    assert missing == []
+
+
+def test_crawl_and_eval_share_their_input_options():
+    help_of = {
+        name: {a.dest: a.help for a in sub._actions}
+        for name, sub in _subcommands().items()
+        if name in ("crawl", "eval")
+    }
+    for dest in ("spec", "index", "out", "idf", "half_life_gamma"):
+        assert help_of["crawl"][dest] == help_of["eval"][dest]
 
 
 @pytest.mark.parametrize("command", ["validate", "crawl", "eval"])

@@ -220,6 +220,13 @@ class TestExtractDocumentTime:
         )
         assert extract_document_time(doc).source == TimeSource.URL_PATTERN
 
+    def test_metadata_outside_the_utc_range_falls_through(self):
+        doc = doc_with(
+            "http://e.de/2009/09/27/x",
+            '<meta property="article:published_time" content="9999-12-31T23:59:59-01:00">',
+        )
+        assert extract_document_time(doc).source == TimeSource.URL_PATTERN
+
     def test_invalid_url_date_falls_through_to_capture(self):
         doc = doc_with("http://e.de/2009/02/31/x", "<p>x</p>")
         assert extract_document_time(doc).source == TimeSource.CRAWL_TIME_FALLBACK

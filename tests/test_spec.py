@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -65,6 +66,12 @@ def test_empty_seeds_is_validation_error():
 def test_malformed_json_is_parse_error():
     with pytest.raises(SpecParseError):
         parse_spec("{not json")
+
+
+def test_date_outside_the_utc_range_is_parse_error():
+    temporal = dict(MINIMAL["temporal"], event_start="0001-01-01T00:00:00+01:00")
+    with pytest.raises(SpecParseError, match="outside the UTC date range"):
+        parse_spec(doc(temporal=temporal))
 
 
 def test_missing_required_field_is_parse_error():
@@ -140,6 +147,13 @@ def test_validate_flags_unknown_language():
         )
     )
     assert [p.field for p in validate_spec(spec)] == ["topical.language"]
+
+
+@pytest.mark.parametrize("field", ["lead_time", "cool_down_time"])
+def test_validate_flags_nan_duration(field):
+    spec = _make_spec()
+    spec = replace(spec, temporal=replace(spec.temporal, **{field: float("nan")}))
+    assert [p.field for p in validate_spec(spec)] == [f"temporal.{field}"]
 
 
 def test_parse_spec_file_resolves_relative_reference_paths(tmp_path):

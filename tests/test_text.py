@@ -12,7 +12,6 @@ from eventcrawl.text import (
     boost_vector,
     build_idf_dictionary,
     build_reference_vector,
-    extract_text,
     keyword_token_set,
     load_idf_dictionary,
     save_idf_dictionary,
@@ -31,22 +30,22 @@ def make_document(body: str) -> ArchivedDocument:
 
 class TestExtractText:
     def test_tags_stripped(self):
-        assert extract_text(make_document("<p>Hello <b>World</b></p>")) == "Hello World"
+        assert make_document("<p>Hello <b>World</b></p>").scanned().text == "Hello World"
 
     def test_script_removed(self):
-        assert extract_text(make_document("<script>var x=1;</script>Text")) == "Text"
+        assert make_document("<script>var x=1;</script>Text").scanned().text == "Text"
 
     def test_entities_decoded(self):
-        assert extract_text(make_document("&amp;")) == "&"
+        assert make_document("&amp;").scanned().text == "&"
 
     def test_style_removed_and_whitespace_collapsed(self):
         html = "<style>p{color:red}</style><p>a\n\n  b</p>"
-        assert extract_text(make_document(html)) == "a b"
+        assert make_document(html).scanned().text == "a b"
 
     def test_undecodable_bytes_replaced(self):
         snapshot = SnapshotRecord("http://e.de/x", "20110305120000", "none.warc", 0, 1)
         doc = ArchivedDocument(snapshot=snapshot, headers=[], body=b"ok \xff\xfe end")
-        assert "ok" in extract_text(doc) and "end" in extract_text(doc)
+        assert "ok" in doc.scanned().text and "end" in doc.scanned().text
 
 
 class TestAnalyze:

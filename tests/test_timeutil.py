@@ -1,7 +1,8 @@
+import sys
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from eventcrawl.timeutil import (
     format_iso,
@@ -75,3 +76,35 @@ def test_duration_rejects_garbage():
 def test_ts14_round_trips_any_second(dt):
     dt = dt.replace(microsecond=0, tzinfo=timezone.utc)
     assert parse_ts14(format_ts14(dt)) == dt
+
+
+@given(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)))
+@example(datetime(999, 1, 1))
+@example(datetime(1, 1, 1))
+def test_formats_round_trip_every_year(dt):
+    dt = dt.replace(microsecond=0, tzinfo=timezone.utc)
+    assert parse_ts14(format_ts14(dt)) == dt
+    assert parse_iso8601(format_iso(dt)) == dt
+
+
+@pytest.mark.parametrize("value", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"])
+def test_outside_the_utc_range_is_value_error(value):
+    with pytest.raises(ValueError, match="outside the UTC date range"):
+        parse_iso8601(value)
+
+
+@pytest.mark.parametrize(
+    "value,end",
+    [
+        ("20110314", datetime(2011, 3, 14, 23, 59, 59)),  # basic date
+        ("2011W10", datetime(2011, 3, 7, 23, 59, 59)),  # week, Monday
+        ("2011-W10", datetime(2011, 3, 7, 23, 59, 59)),
+        ("2011W10T12", datetime(2011, 3, 7, 12)),  # has a time: not expanded
+    ],
+)
+def test_end_of_day_expands_every_date_only_form(value, end):
+    if sys.version_info < (3, 11):  # fromisoformat takes no basic or week forms
+        with pytest.raises(ValueError):
+            parse_iso8601(value, end_of_day=True)
+    else:
+        assert parse_iso8601(value, end_of_day=True) == end.replace(tzinfo=timezone.utc)

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import warc
 from .htmlscan import ScannedPage, decode_html_bytes, outlinks, scan_html
-from .timeutil import format_ts14, parse_iso8601, parse_ts14, to_epoch
+from .timeutil import format_ts14, parse_iso8601, parse_ts14
 from .urlnorm import CanonicalizationError, canonicalize_url
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,9 +51,14 @@ class SnapshotRecord:
     length: int
     http_status: int = 200
     media_type: str = "text/html"
+    # capture_time in seconds since epoch, parsed once: by from_line, or by
+    # the first capture_epoch(). Derived, so left out of ==, hash and order.
+    epoch: float | None = field(default=None, compare=False, repr=False)
 
     def capture_epoch(self) -> float:
-        return to_epoch(parse_ts14(self.capture_time))
+        if self.epoch is None:
+            object.__setattr__(self, "epoch", parse_ts14(self.capture_time).timestamp())
+        return self.epoch
 
     def to_line(self) -> str:
         return (
@@ -70,8 +75,8 @@ class SnapshotRecord:
         url, ts = parts[0], parts[1]
         offset, length, status, media_type = parts[-4:]
         warc_file = " ".join(parts[2:-4])
-        parse_ts14(ts)  # validates the timestamp shape
-        return cls(url, ts, warc_file, int(offset), int(length), int(status), media_type)
+        epoch = parse_ts14(ts).timestamp()  # also validates the timestamp
+        return cls(url, ts, warc_file, int(offset), int(length), int(status), media_type, epoch)
 
 
 @dataclass
@@ -104,11 +109,24 @@ class ArchivedDocument:
         return tuple(outlinks(self.scanned(), self.snapshot.canonical_url))
 
 
+# Why _index_record leaves a readable record out of the index, in report order.
+_LEFT_OUT_REASONS = (
+    "not a response",
+    "no URI or date",
+    "bad date",
+    "bad HTTP head",
+    "not 200",
+    "not HTML",
+    "not canonicalizable",
+)
+
+
 @dataclass(frozen=True)
 class IndexSummary:
     url_count: int
     record_count: int
-    skipped: int = 0
+    skipped: int = 0  # records that could not be read as WARC
+    left_out: dict[str, int] = field(default_factory=dict)  # reason -> readable records
 
 
 class ArchiveIndex:
@@ -136,18 +154,30 @@ class ArchiveIndex:
         if missing:
             raise FileNotFoundError(f"index references missing WARC files: {missing}")
         frozen = {
-            url: tuple(sorted(records, key=lambda r: (r.capture_time, r.warc_file, r.offset)))
+            url: tuple(
+                records
+                if len(records) == 1
+                else sorted(records, key=lambda r: (r.capture_time, r.warc_file, r.offset))
+            )
             for url, records in entries.items()
         }
         return cls(frozen, index_path)
 
     def resolve_snapshots(self, url: str) -> list[SnapshotRecord]:
-        """All snapshots of a URL, ascending capture time; [] if absent."""
-        try:
-            key = canonicalize_url(url)
-        except CanonicalizationError:
-            return []
-        return list(self._entries.get(key, ()))
+        """All snapshots of a URL, ascending capture time; [] if absent.
+
+        Every key is a ``canonicalize_url`` result, and canonicalizing is
+        idempotent, so a URL that is a key is looked up as it is; only
+        other spellings are canonicalized first.
+        """
+        records = self._entries.get(url)
+        if records is None:
+            try:
+                key = canonicalize_url(url)
+            except CanonicalizationError:
+                return []
+            records = self._entries.get(key, ())
+        return list(records)
 
     def urls(self) -> Iterator[str]:
         return iter(self._entries)
@@ -166,10 +196,12 @@ def build_index(
     """Scan WARC files and write the sorted lookup index.
 
     Indexes HTTP 200 HTML responses only. Malformed records are skipped
-    and tallied; an unreadable file aborts the build.
+    and tallied, and every other record left out is tallied by its
+    reason; an unreadable file aborts the build.
     """
     records: list[SnapshotRecord] = []
     skipped = 0
+    left_out = dict.fromkeys(_LEFT_OUT_REASONS, 0)
     for path in warc_paths:
         path = Path(path)
         resolved = str(path.resolve())
@@ -179,7 +211,9 @@ def build_index(
                 skipped += 1
                 continue
             record = _index_record(item, resolved)
-            if record is not None:
+            if isinstance(record, str):
+                left_out[record] += 1
+            else:
                 records.append(record)
 
     records.sort(key=lambda r: (r.canonical_url, r.capture_time, r.warc_file, r.offset))
@@ -196,33 +230,39 @@ def build_index(
         temp_path.unlink(missing_ok=True)
         raise
     url_count = len({r.canonical_url for r in records})
-    return IndexSummary(url_count=url_count, record_count=len(records), skipped=skipped)
+    return IndexSummary(
+        url_count=url_count, record_count=len(records), skipped=skipped, left_out=left_out
+    )
 
 
-def _index_record(record: warc.RawRecord, warc_file: str) -> SnapshotRecord | None:
+def _index_record(record: warc.RawRecord, warc_file: str) -> SnapshotRecord | str:
+    """The record's index entry, or the reason (from _LEFT_OUT_REASONS) it has none."""
     if record.record_type != "response":
-        return None
+        return "not a response"
     uri = record.target_uri
     date = warc.find_header(record.headers, "WARC-Date")
     if not uri or not date:
-        return None
+        return "no URI or date"
     try:
         capture = format_ts14(parse_iso8601(date))
+    except ValueError:
+        return "bad date"
+    try:
         status, headers, _payload = warc.parse_http_response(record.block)
-    except (ValueError, warc.MalformedRecord):
-        return None
+    except warc.MalformedRecord:
+        return "bad HTTP head"
     if status != 200:
-        return None
+        return "not 200"
     content_type = warc.find_header(headers, "Content-Type") or ""
     # One whitespace-free token: index lines are space-separated.
     media_type = next(iter(content_type.split(";")[0].lower().split()), "unknown")
     if not _is_html(media_type):
-        return None
+        return "not HTML"
     # Canonicalize last: it costs more than every check above.
     try:
         canonical = canonicalize_url(uri)
     except CanonicalizationError:
-        return None
+        return "not canonicalizable"
     return SnapshotRecord(
         canonical_url=canonical,
         capture_time=capture,

@@ -158,6 +158,8 @@ def cmd_index(args: argparse.Namespace) -> int:
         f"indexed {summary.record_count} records for {summary.url_count} URLs "
         f"({summary.skipped} skipped) -> {args.index}"
     )
+    counts = ", ".join(f"{n} {reason}" for reason, n in summary.left_out.items())
+    print(f"left out {sum(summary.left_out.values())} records: {counts}")
     return EXIT_OK
 
 

@@ -28,7 +28,7 @@ from .relevance import (
     temporal_relevance,
     topical_relevance,
 )
-from .spec import CollectionSpecification, TemporalScope
+from .spec import CollectionSpecification, TemporalScope, TopicalScope
 from .text import (
     IdfDictionary,
     build_reference_vector,
@@ -44,6 +44,7 @@ __all__ = [
     "CrawlStrategy",
     "Frontier",
     "SnapshotAnalysis",
+    "TopicalScorer",
     "TraceRecord",
     "extract_outlinks",
     "run_crawl",
@@ -186,6 +187,26 @@ class CrawlResult:
         return sum(item.score.topical for item in self.collection)
 
 
+class TopicalScorer:
+    """Topical relevance of fetched documents to one topical scope.
+
+    Builds the scope's reference vector once; calling it with a document
+    tokenizes and vectorizes the page text and returns its cosine to the
+    reference.
+    """
+
+    def __init__(
+        self, topical: TopicalScope, index: ArchiveIndex, idf: IdfDictionary | None = None
+    ) -> None:
+        self._idf = idf or default_idf_dictionary()
+        self._reference = build_reference_vector(topical, self._idf, index=index)
+        self._analyzer = get_analyzer(topical.language)
+
+    def __call__(self, document: ArchivedDocument) -> float:
+        doc_vector = vectorize(self._analyzer.tokens(document.scanned().text), self._idf)
+        return topical_relevance(doc_vector, self._reference)
+
+
 class SnapshotAnalysis:
     """Memoized analysis of snapshots under one spec and IDF.
 
@@ -205,9 +226,7 @@ class SnapshotAnalysis:
     ) -> None:
         self._index = index
         self._spec = spec
-        self._idf = idf or default_idf_dictionary()
-        self._reference = build_reference_vector(spec.topical, self._idf, index=index)
-        self._analyzer = get_analyzer(spec.topical.language)
+        self._topical = TopicalScorer(spec.topical, index, idf)
         self._memo: dict[SnapshotRecord, CollectionItem | warc.MalformedRecord] = {}
 
     def __call__(self, snapshot: SnapshotRecord) -> CollectionItem | warc.MalformedRecord:
@@ -220,8 +239,7 @@ class SnapshotAnalysis:
             document = fetch_document(self._index, snapshot)
         except warc.MalformedRecord as exc:
             return exc
-        doc_vector = vectorize(self._analyzer.tokens(document.scanned().text), self._idf)
-        topical = topical_relevance(doc_vector, self._reference)
+        topical = self._topical(document)
         doc_time = extract_document_time(document)
         temporal = temporal_relevance(doc_time.epoch(), self._spec.temporal)
         score = RelevanceScore.combine(topical, temporal, self._spec.alpha)

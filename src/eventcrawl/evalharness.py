@@ -20,8 +20,8 @@ from itertools import accumulate
 from pathlib import Path
 from random import Random
 
-from .archive import ArchiveIndex
-from .crawler import CrawlStrategy, SnapshotAnalysis, run_crawl
+from .archive import ArchiveIndex, SnapshotRecord, fetch_document
+from .crawler import CrawlStrategy, SnapshotAnalysis, TopicalScorer, run_crawl
 from .spec import (
     CollectionSpecification,
     ReferenceDocument,
@@ -30,7 +30,7 @@ from .spec import (
 )
 from .text import IdfDictionary
 from .timeutil import format_iso, format_ts14, parse_ts14
-from .warc import MalformedRecord, WarcWriter
+from .warc import WarcWriter
 
 __all__ = [
     "EvalReport",
@@ -368,13 +368,16 @@ def run_comparison(
     whose topical scope defines the measuring stick; by default each run
     is measured with its own spec. A failing strategy is isolated: its
     run records the error and the others still execute. The strategies
-    share one :class:`SnapshotAnalysis`, so each snapshot is scored once.
+    share one :class:`SnapshotAnalysis`, so each snapshot is scored once;
+    an ``evaluation_spec`` measure scores each snapshot's topical
+    relevance once more, and nothing else.
     """
     if checkpoint_interval < 1:
         raise ValueError("checkpoint interval must be positive")
     measure = None
+    measured: dict[SnapshotRecord, float] = {}
     if evaluation_spec is not None and evaluation_spec.topical != spec.topical:
-        measure = SnapshotAnalysis(evaluation_spec, index, idf=idf)
+        measure = TopicalScorer(evaluation_spec.topical, index, idf)
     analysis = None
     runs: list[StrategyRun] = []
     for strategy in strategies:
@@ -392,11 +395,12 @@ def run_comparison(
             continue
         accumulated = 0.0
         for position, item in enumerate(result.collection, start=1):
-            if measure is not None:
-                item = measure(item.snapshot)
-                if isinstance(item, MalformedRecord):
-                    raise item
-            accumulated += item.score.topical
+            if measure is None:
+                accumulated += item.score.topical
+            else:
+                if item.snapshot not in measured:
+                    measured[item.snapshot] = measure(fetch_document(index, item.snapshot))
+                accumulated += measured[item.snapshot]
             if position % checkpoint_interval == 0:
                 run.checkpoints.append((position, accumulated))
         total = len(result.collection)

@@ -60,8 +60,11 @@ def _ends_cvc(stem: str) -> bool:
 
 
 def _replace_longest(word: str, rules: list[tuple[str, str]], min_measure: int) -> str:
-    """Apply the longest matching suffix rule whose stem measure qualifies."""
-    for suffix, replacement in sorted(rules, key=lambda r: -len(r[0])):
+    """Apply the first matching suffix rule, if its stem measure qualifies.
+
+    ``rules`` must be sorted longest suffix first.
+    """
+    for suffix, replacement in rules:
         if word.endswith(suffix):
             stem = word[: -len(suffix)]
             if _measure(stem) > min_measure:
@@ -70,6 +73,8 @@ def _replace_longest(word: str, rules: list[tuple[str, str]], min_measure: int) 
     return word
 
 
+# The rule tables are sorted longest suffix first, once; the sort is
+# stable, so equal lengths keep the order written here.
 _STEP2 = [
     ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
     ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
@@ -77,16 +82,19 @@ _STEP2 = [
     ("ator", "ate"), ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
     ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
 ]
+_STEP2.sort(key=lambda rule: -len(rule[0]))
 
 _STEP3 = [
     ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
     ("ical", "ic"), ("ful", ""), ("ness", ""),
 ]
+_STEP3.sort(key=lambda rule: -len(rule[0]))
 
 _STEP4 = [
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
 ]
+_STEP4.sort(key=len, reverse=True)
 
 
 def porter_stem(word: str) -> str:
@@ -130,7 +138,7 @@ def porter_stem(word: str) -> str:
     word = _replace_longest(word, _STEP3, 0)
 
     # Step 4
-    for suffix in sorted(_STEP4, key=len, reverse=True):
+    for suffix in _STEP4:
         if word.endswith(suffix):
             stem = word[: -len(suffix)]
             if suffix == "ion" and (not stem or stem[-1] not in "st"):

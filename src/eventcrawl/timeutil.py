@@ -18,7 +18,10 @@ __all__ = [
     "to_epoch",
 ]
 
-_TS14_RE = re.compile(r"^\d{14}$")
+# ASCII only: ``\d`` would also match other scripts' digits, which int() reads.
+_TS14_RE = re.compile(r"[0-9]{14}")
+# A week date without a weekday, the one date-only form that names more than a day.
+_WEEK_RE = re.compile(r"[0-9]{4}-?W[0-9]{2}")
 
 # Humane duration units; months and years use fixed civil approximations.
 _DURATION_UNITS = {
@@ -35,13 +38,20 @@ _DURATION_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*([shdwmy])?\s*$", re.IGNORECAS
 
 def parse_ts14(value: str) -> datetime:
     """Parse a 14-digit archival timestamp into an aware UTC datetime."""
-    if not _TS14_RE.match(value):
+    if _TS14_RE.fullmatch(value) is None:
         raise ValueError(f"not a 14-digit timestamp: {value!r}")
     try:
-        naive = datetime.strptime(value, "%Y%m%d%H%M%S")
+        return datetime(
+            int(value[0:4]),
+            int(value[4:6]),
+            int(value[6:8]),
+            int(value[8:10]),
+            int(value[10:12]),
+            int(value[12:14]),
+            tzinfo=timezone.utc,
+        )
     except ValueError as exc:
         raise ValueError(f"invalid archival timestamp: {value!r}") from exc
-    return naive.replace(tzinfo=timezone.utc)
 
 
 def format_ts14(when: datetime) -> str:
@@ -54,8 +64,10 @@ def parse_iso8601(value: str, *, end_of_day: bool = False) -> datetime:
     """Parse an ISO-8601 date or date-time into an aware UTC datetime.
 
     Date-only values (any form ``date.fromisoformat`` accepts) expand to
-    00:00:00, or 23:59:59 when ``end_of_day`` is set. Naive date-times
-    are taken as UTC. A value outside the UTC range raises ValueError.
+    00:00:00, or 23:59:59 when ``end_of_day`` is set; a week without a
+    weekday (``2011-W10``) starts on its Monday and ends on its Sunday.
+    Naive date-times are taken as UTC. A value outside the UTC range
+    raises ValueError.
     """
     text = value.strip()
     if not text:
@@ -72,7 +84,11 @@ def parse_iso8601(value: str, *, end_of_day: bool = False) -> datetime:
         except ValueError:
             pass  # the value has a time
         else:
-            parsed = parsed + timedelta(hours=23, minutes=59, seconds=59)
+            days = 6 if _WEEK_RE.fullmatch(text) else 0
+            try:
+                parsed = parsed + timedelta(days=days, hours=23, minutes=59, seconds=59)
+            except OverflowError:  # e.g. 9999-W52, whose Sunday is in year 10000
+                raise ValueError(f"outside the UTC date range: {value!r}") from None
     return _as_utc(parsed)
 
 

@@ -14,8 +14,9 @@ from eventcrawl.archive import (
     fetch_document,
     write_collection,
 )
+from eventcrawl.timeutil import parse_ts14, to_epoch
 from eventcrawl.urlnorm import CanonicalizationError, canonicalize_url
-from eventcrawl.warc import MalformedRecord
+from eventcrawl.warc import MalformedRecord, WarcWriter, build_response_record
 
 from conftest import page_html, write_warc
 from oracles import reference_scan
@@ -99,6 +100,52 @@ class TestBuildIndex:
         assert summary.record_count == 1
         assert summary.skipped == 1
 
+    def test_left_out_records_are_counted_by_reason(self, tmp_path):
+        def response(url="http://e.de/page", date="2011-03-05T12:00:00Z", **kwargs):
+            return build_response_record(url, date, b"x", record_id="urn:x", **kwargs)
+
+        records = {
+            "not a response": response().replace(b"WARC-Type: response", b"WARC-Type: request"),
+            "no URI or date": response(url=""),
+            "bad date": response(date="2011-13-05T12:00:00Z"),
+            "bad HTTP head": response().replace(b"HTTP/1.1 200", b"HTTP/1.1 2x0"),
+            "not 200": response(http_status=404),
+            "not HTML": response(media_type="image/png"),
+            "not canonicalizable": response(url="ftp://e.de/page"),
+        }
+        path = tmp_path / "a.warc.gz"
+        with WarcWriter(path) as writer:
+            writer.write_record_bytes(response())
+            for raw in records.values():
+                writer.write_record_bytes(raw)
+        with open(path, "ab") as handle:
+            handle.write(b"\x1f\x8bnot really gzip")
+        summary = build_index([path], tmp_path / "index.cdx")
+        assert summary.record_count == 1
+        assert summary.skipped == 1  # only the unreadable record
+        assert summary.left_out == dict.fromkeys(records, 1)
+        assert list(summary.left_out) == list(records)  # report order
+
+    def test_records_carry_the_epoch_of_their_capture_time(self, tmp_path):
+        path = write_warc(
+            tmp_path / "a.warc.gz",
+            [
+                {"url": "http://e.de/1", "body": "x", "date_iso": "2011-03-05T12:00:00.75Z"},
+                {"url": "http://e.de/2", "body": "x", "date_iso": "0999-01-01T00:00:00Z"},
+            ],
+        )
+        warc_file = str(path.resolve())
+        built = [archive._index_record(raw, warc_file) for raw in warc.iter_raw_records(path)]
+        assert [record.epoch for record in built] == [None, None]  # the build parses no ts14
+        build_index([path], tmp_path / "index.cdx")
+        index = ArchiveIndex.open(tmp_path / "index.cdx")
+        opened = [snapshot for url in index.urls() for snapshot in index.resolve_snapshots(url)]
+        assert sorted(built) == sorted(opened)
+        for record in opened:  # filled by the open's one parse, in whole seconds
+            assert record.epoch == to_epoch(parse_ts14(record.capture_time))
+        for record in built + opened:
+            assert record.capture_epoch() == to_epoch(parse_ts14(record.capture_time))
+
     def test_canonicalizes_only_the_records_it_indexes(self, tmp_path, monkeypatch):
         calls = []
 
@@ -153,6 +200,23 @@ class TestIndexLines:
         record = SnapshotRecord(url, "20110305120000", "/w/a b.warc.gz", 7, 99, 200, "text/html")
         assert SnapshotRecord.from_line(record.to_line()) == record
 
+    def test_epoch_is_derived_and_left_out_of_equality(self):
+        record = SnapshotRecord("http://e.de/", "20110305120000", "/w/a.warc.gz", 7, 99)
+        other = SnapshotRecord("http://e.de/", "20110305120000", "/w/a.warc.gz", 7, 99, epoch=0.0)
+        assert record == other and hash(record) == hash(other) and not record < other
+        assert record.capture_epoch() == record.epoch == to_epoch(parse_ts14("20110305120000"))
+        assert other.capture_epoch() == 0.0
+        assert "epoch" not in repr(record)
+
+    def test_bad_timestamp_fails_open(self, tmp_path):
+        path = write_warc(tmp_path / "a.warc.gz", [{"url": "http://e.de/1", "body": "x"}])
+        build_index([path], tmp_path / "index.cdx")
+        line = (tmp_path / "index.cdx").read_text(encoding="utf-8")
+        for bad in ("20111305120000", "2011030512000x", "\u0662\u0660\u0661\u06610305120000"):
+            (tmp_path / "bad.cdx").write_text(line.replace("20110305120000", bad), encoding="utf-8")
+            with pytest.raises(ValueError, match="timestamp"):
+                ArchiveIndex.open(tmp_path / "bad.cdx")
+
     def test_url_with_space_indexes_opens_and_resolves(self, tmp_path):
         path = write_warc(tmp_path / "a.warc.gz", [{"url": "http://a.test/b c", "body": "x"}])
         build_index([path], tmp_path / "index.cdx")
@@ -187,6 +251,32 @@ class TestResolveSnapshots:
         assert index.resolve_snapshots("http://e.de/page#x") == index.resolve_snapshots(
             "http://e.de/page"
         )
+
+    def test_other_spellings_resolve_to_the_canonical_key(self, tmp_path):
+        write_warc(tmp_path / "a.warc.gz", [{"url": "http://e.de/r1", "body": "x"}])
+        build_index([tmp_path / "a.warc.gz"], tmp_path / "index.cdx")
+        index = ArchiveIndex.open(tmp_path / "index.cdx")
+        (snapshot,) = index.resolve_snapshots("http://e.de/r1")
+        spellings = ("HTTP://E.DE/r1", "http://e.de:80/r1", "http://e.de/%72%31", "http://e.de/r1#x")
+        for spelling in spellings:
+            assert index.resolve_snapshots(spelling) == [snapshot]
+        assert index.resolve_snapshots("http://e.de/R1") == []  # paths are case-sensitive
+        assert index.resolve_snapshots("not a url") == []
+
+    def test_canonical_keys_are_looked_up_without_canonicalizing(self, tmp_path, monkeypatch):
+        write_warc(tmp_path / "a.warc.gz", [{"url": "http://e.de/r1", "body": "x"}])
+        build_index([tmp_path / "a.warc.gz"], tmp_path / "index.cdx")
+        index = ArchiveIndex.open(tmp_path / "index.cdx")
+        calls = []
+
+        def counting_canonicalize(url):
+            calls.append(url)
+            return canonicalize_url(url)
+
+        monkeypatch.setattr(archive, "canonicalize_url", counting_canonicalize)
+        assert len(index.resolve_snapshots("http://e.de/r1")) == 1
+        assert index.resolve_snapshots("http://e.de/absent") == []
+        assert calls == ["http://e.de/absent"]
 
     def test_repeated_calls_identical(self, tmp_path):
         write_warc(

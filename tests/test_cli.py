@@ -56,6 +56,27 @@ class TestIndexCommand:
         out = capsys.readouterr().out
         assert "2 records" in out and "2 URLs" in out
 
+    def test_reports_left_out_records_on_a_second_line(self, tmp_path, capsys):
+        warc_dir = tmp_path / "warcs"
+        warc_dir.mkdir()
+        write_warc(
+            warc_dir / "one.warc.gz",
+            [
+                {"url": "http://e.de/1", "body": "x"},
+                {"url": "http://e.de/2", "body": "x", "status": 404},
+                {"url": "http://e.de/3", "body": "x", "date_iso": "0001-01-01T00:00:00+01:00"},
+            ],
+        )
+        with open(warc_dir / "one.warc.gz", "ab") as handle:
+            handle.write(b"\x1f\x8bnot really gzip")
+        assert main(["index", "--warc-dir", str(warc_dir), "--index", str(tmp_path / "i.cdx")]) == 0
+        first, second = capsys.readouterr().out.splitlines()
+        assert first.startswith("indexed 1 records for 1 URLs (1 skipped) -> ")
+        assert second == (
+            "left out 2 records: 0 not a response, 0 no URI or date, 1 bad date, "
+            "0 bad HTTP head, 1 not 200, 0 not HTML, 0 not canonicalizable"
+        )
+
     def test_empty_dir_warns_but_succeeds(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()

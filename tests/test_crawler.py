@@ -24,6 +24,7 @@ from eventcrawl.spec import (
     TopicalScope,
 )
 from eventcrawl.text import IdfDictionary
+from eventcrawl.timeutil import parse_ts14
 
 from conftest import page_html, write_warc
 from oracles import reference_bfs, reference_crawl, select_snapshot_oracle
@@ -80,6 +81,29 @@ class TestSelectSnapshot:
             assert select_snapshot(snaps, event_scope) == select_snapshot_oracle(
                 snaps, event_scope
             )
+
+    def test_parses_no_timestamp_after_the_open(self, tmp_path, event_scope, monkeypatch):
+        from eventcrawl import archive
+
+        pages = [
+            {"url": f"http://e.de/{i}", "body": "x", "date_iso": f"2011-03-{day:02d}T00:00:00Z"}
+            for i in range(3)
+            for day in (2, 9, 20)
+        ]
+        build_index([write_warc(tmp_path / "a.warc.gz", pages)], tmp_path / "index.cdx")
+        calls = []
+
+        def counting_parse_ts14(value):
+            calls.append(value)
+            return parse_ts14(value)
+
+        monkeypatch.setattr(archive, "parse_ts14", counting_parse_ts14)
+        index = ArchiveIndex.open(tmp_path / "index.cdx")
+        assert len(calls) == index.record_count == 9
+        for _ in range(3):
+            for url in index.urls():
+                select_snapshot(index.resolve_snapshots(url), event_scope)
+        assert len(calls) == 9
 
 
 class TestFrontier:

@@ -276,3 +276,35 @@ class TestKeywordAblation:
                     checkpoints.append((position, accumulated))
             assert run.error is None
             assert run.checkpoints == checkpoints
+
+    def test_measure_scores_only_topical_relevance(self, tmp_path, event_scope, monkeypatch):
+        from eventcrawl import crawler
+
+        config = config_for(event_scope, decoy_fraction=0.2, separator_keyword="krizzle")
+        paths, truth = generate_archive(config, tmp_path)
+        build_index(paths, tmp_path / "index.cdx")
+        index = ArchiveIndex.open(tmp_path / "index.cdx")
+        base = spec_for_ground_truth(truth, event_scope, target_size=40)
+        with_kw = spec_for_ground_truth(truth, event_scope, target_size=40, use_keyword=True)
+        calls = {"outlinks": 0, "doc_time": 0}
+
+        def counting(name, function):
+            def counted(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return counted
+
+        monkeypatch.setattr(crawler, "extract_outlinks", counting("outlinks", crawler.extract_outlinks))
+        monkeypatch.setattr(
+            crawler, "extract_document_time", counting("doc_time", crawler.extract_document_time)
+        )
+        strategies = list(CrawlStrategy)
+        run_comparison(base, index, strategies, 7)
+        unmeasured = dict(calls)
+        calls.update(outlinks=0, doc_time=0)
+        report = run_comparison(base, index, strategies, 7, evaluation_spec=with_kw)
+        assert all(run.error is None for run in report.runs)
+        # The crawl analysis extracts each snapshot's links and time once; the measure never does.
+        assert calls == unmeasured
+        assert unmeasured["outlinks"] == unmeasured["doc_time"] > 0

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from eventcrawl.archive import ArchivedDocument, SnapshotRecord
 from eventcrawl.spec import ReferenceDocument, TopicalScope
+from eventcrawl.stem import porter_stem
 from eventcrawl.text import (
     IdfDictionary,
     KeywordBoost,
@@ -46,6 +47,41 @@ class TestExtractText:
         snapshot = SnapshotRecord("http://e.de/x", "20110305120000", "none.warc", 0, 1)
         doc = ArchivedDocument(snapshot=snapshot, headers=[], body=b"ok \xff\xfe end")
         assert "ok" in doc.scanned().text and "end" in doc.scanned().text
+
+
+# Stems recorded before the Porter rule tables were sorted once at import.
+PORTER_STEMS = {
+    "caresses": "caress", "ponies": "poni", "ties": "ti", "caress": "caress", "cats": "cat",
+    "feed": "feed", "agreed": "agre", "plastered": "plaster", "bled": "bled",
+    "motoring": "motor", "sing": "sing", "conflated": "conflat", "troubled": "troubl",
+    "sized": "size", "hopping": "hop", "tanned": "tan", "falling": "fall", "hissing": "hiss",
+    "fizzed": "fizz", "failing": "fail", "filing": "file", "happy": "happi", "sky": "sky",
+    "relational": "relat", "conditional": "condit", "rational": "ration",
+    "valenci": "valenc", "hesitanci": "hesit", "digitizer": "digit",
+    "conformabli": "conform", "radicalli": "radic", "differentli": "differ",
+    "vileli": "vile", "analogousli": "analog", "vietnamization": "vietnam",
+    "predication": "predic", "operator": "oper", "feudalism": "feudal",
+    "decisiveness": "decis", "hopefulness": "hope", "callousness": "callous",
+    "formaliti": "formal", "sensitiviti": "sensit", "sensibiliti": "sensibl",
+    "triplicate": "triplic", "formative": "form", "formalize": "formal",
+    "electriciti": "electr", "electrical": "electr", "hopeful": "hope", "goodness": "good",
+    "revival": "reviv", "allowance": "allow", "inference": "infer", "airliner": "airlin",
+    "gyroscopic": "gyroscop", "adjustable": "adjust", "defensible": "defens",
+    "irritant": "irrit", "replacement": "replac", "adjustment": "adjust",
+    "dependent": "depend", "adoption": "adopt", "homologou": "homolog",
+    "communism": "commun", "activate": "activ", "angulariti": "angular",
+    "homologous": "homolog", "effective": "effect", "bowdlerize": "bowdler",
+    "probate": "probat", "rate": "rate", "cease": "ceas", "controll": "control",
+    "roll": "roll", "generalizations": "gener", "oscillators": "oscil",
+    "international": "intern", "organizations": "organ", "earthquake": "earthquak",
+    "tsunami": "tsunami", "elections": "elect", "protesters": "protest",
+    "demonstrations": "demonstr", "olympics": "olymp", "championship": "championship",
+    "reporting": "report", "nationalities": "nation", "a": "a", "is": "is", "by": "by",
+}
+
+
+def test_porter_stems_are_pinned():
+    assert {word: porter_stem(word) for word in PORTER_STEMS} == PORTER_STEMS
 
 
 class TestAnalyze:

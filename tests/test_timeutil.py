@@ -97,8 +97,8 @@ def test_outside_the_utc_range_is_value_error(value):
     "value,end",
     [
         ("20110314", datetime(2011, 3, 14, 23, 59, 59)),  # basic date
-        ("2011W10", datetime(2011, 3, 7, 23, 59, 59)),  # week, Monday
-        ("2011-W10", datetime(2011, 3, 7, 23, 59, 59)),
+        ("2011W10", datetime(2011, 3, 13, 23, 59, 59)),  # a week ends on its Sunday
+        ("2011-W10", datetime(2011, 3, 13, 23, 59, 59)),
         ("2011W10T12", datetime(2011, 3, 7, 12)),  # has a time: not expanded
     ],
 )
@@ -108,3 +108,76 @@ def test_end_of_day_expands_every_date_only_form(value, end):
             parse_iso8601(value, end_of_day=True)
     else:
         assert parse_iso8601(value, end_of_day=True) == end.replace(tzinfo=timezone.utc)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="fromisoformat takes no week forms")
+def test_week_date_starts_on_monday_and_ends_on_sunday():
+    assert parse_iso8601("2011-W10") == datetime(2011, 3, 7, tzinfo=timezone.utc)
+    # With a weekday it names one day, like any other date-only form.
+    assert parse_iso8601("2011-W10-3", end_of_day=True) == datetime(
+        2011, 3, 9, 23, 59, 59, tzinfo=timezone.utc
+    )
+    with pytest.raises(ValueError, match="outside the UTC date range"):
+        parse_iso8601("9999-W52", end_of_day=True)  # its Sunday is in year 10000
+
+
+def _strptime_ts14(value):
+    try:
+        return datetime.strptime(value, "%Y%m%d%H%M%S").replace(tzinfo=timezone.utc)
+    except ValueError:
+        return ValueError
+
+
+def _parse_ts14_or_error(value):
+    try:
+        return parse_ts14(value)
+    except ValueError:
+        return ValueError
+
+
+_DIGITS = "0123456789"
+# Near misses: separators, a stray letter, and decimal digits of other scripts.
+_NEAR_DIGITS = _DIGITS + " +-\n\tx/:T\u0660\u0662\u0667\u06f1\u0967\uff10\uff11"
+
+
+def _one_changed(alphabet):
+    """A 14-digit string with one character replaced from ``alphabet``."""
+    return st.tuples(
+        st.text(_DIGITS, min_size=14, max_size=14),
+        st.integers(0, 13),
+        st.sampled_from(alphabet),
+    ).map(lambda t: t[0][: t[1]] + t[2] + t[0][t[1] + 1 :])
+
+
+@given(
+    st.one_of(
+        st.text(_DIGITS, min_size=14, max_size=14),
+        # Fields in range, so that many draws are valid timestamps.
+        st.datetimes(min_value=datetime(1, 1, 1)).map(lambda d: d.strftime("%Y%m%d%H%M%S")),
+        _one_changed(_NEAR_DIGITS),
+        st.text(_DIGITS, min_size=12, max_size=16),
+        st.text(_NEAR_DIGITS, min_size=14, max_size=14),
+    )
+)
+@example("20110307120000")
+@example("20110307120000\n")
+@example("\u0662\u0660\u0661\u0661\u0660\u0663\u0660\u0667\u0661\u0662\u0660\u0660\u0660\u0660")
+@example("\u0662\u0660\u0661\u06610307120000")  # strptime's %Y takes any decimal digit
+@example("2011030712000\uff11")  # so does the second digit of %S
+@example("201103 7120000")  # strptime's %d takes a space-padded day
+@example(" 2011030712000")
+@example("00000101000000")  # year 0
+@example("20111307120000")  # month 13
+@example("20110007120000")  # month 0
+@example("20110230120000")  # 30 February
+@example("20110300120000")  # day 0
+@example("20110307240000")  # hour 24
+@example("20110307126000")  # minute 60
+@example("20110307120060")  # second 60, which strptime's pattern takes
+@example("20110307120061")
+def test_ts14_matches_strptime(value):
+    # A 14-digit timestamp is 14 ASCII digits; on those strptime decides.
+    # It also takes a few other strings (see the examples), and those raise.
+    is_ts14 = len(value) == 14 and value.isascii() and value.isdigit()
+    expected = _strptime_ts14(value) if is_ts14 else ValueError
+    assert _parse_ts14_or_error(value) == expected

@@ -4,9 +4,12 @@ The index is a sorted plain-text file, one line per indexed capture::
 
     canonical_url SP timestamp14 SP warc_file SP offset SP length SP status SP media_type
 
-Only HTTP 200 responses with an HTML media type are indexed. Loaded
-indexes are immutable and safe for concurrent readers; lookups are
-dictionary-backed, independent of archive size.
+Only HTTP 200 responses with an HTML media type are indexed. Opening an
+index checks every line against one grammar but decodes none; a lookup
+decodes its URL's lines on first use and keeps the records. Loaded
+indexes are otherwise immutable and safe for concurrent readers: two
+first lookups of one URL may both decode it, into equal records. Lookups
+are dictionary-backed, independent of archive size.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ from __future__ import annotations
 import csv
 import logging
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import warc
 from .htmlscan import ScannedPage, decode_html_bytes, outlinks, scan_html
-from .timeutil import format_ts14, parse_iso8601, parse_ts14
+from .timeutil import TS14_PATTERN, format_ts14, parse_iso8601, parse_ts14
 from .urlnorm import CanonicalizationError, canonicalize_url
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,8 +43,16 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# An index line as to_line writes it, in a file read with universal
+# newlines. Only the warc_file may hold a space; integers have no sign,
+# underscore or leading zero. Groups: the line, its URL and its warc_file.
+_INT = "(?:0|[1-9][0-9]*)"
+_INDEX_LINE = re.compile(
+    rf"(?m)^(([^ \r\n]*) {TS14_PATTERN} ([^\r\n]*) {_INT} {_INT} {_INT} [^ \r\n]*)$"
+)
 
-@dataclass(frozen=True, order=True)
+
+@dataclass(frozen=True, order=True, slots=True)
 class SnapshotRecord:
     """One archived capture of a URL and where its bytes live."""
 
@@ -69,13 +81,18 @@ class SnapshotRecord:
     @classmethod
     def from_line(cls, line: str) -> "SnapshotRecord":
         parts = line.split(" ")
-        if len(parts) < 7:
+        if _INDEX_LINE.fullmatch(line) is None:
+            # The error of the first field that does not read, else the line's.
+            if len(parts) >= 7:
+                parse_ts14(parts[1])
+                for value in parts[-4:-1]:
+                    int(value)
             raise ValueError(f"bad index line: {line!r}")
         # warc_file may contain spaces; everything else is space-free.
         url, ts = parts[0], parts[1]
         offset, length, status, media_type = parts[-4:]
         warc_file = " ".join(parts[2:-4])
-        epoch = parse_ts14(ts).timestamp()  # also validates the timestamp
+        epoch = parse_ts14(ts).timestamp()
         return cls(url, ts, warc_file, int(offset), int(length), int(status), media_type, epoch)
 
 
@@ -130,38 +147,45 @@ class IndexSummary:
 
 
 class ArchiveIndex:
-    """Immutable URL -> snapshots lookup over one or more WARC files."""
+    """URL -> snapshots lookup over one or more WARC files.
 
-    def __init__(self, entries: dict[str, tuple[SnapshotRecord, ...]], path: Path | None = None):
+    Each URL maps to its undecoded index line (a list of them if it has
+    several captures) until its first lookup, and to its sorted records
+    after it.
+    """
+
+    def __init__(self, entries: dict[str, _Entry], record_count: int, path: Path | None = None):
         self._entries = entries
         self.path = path
         self.url_count = len(entries)
-        self.record_count = sum(len(v) for v in entries.values())
+        self.record_count = record_count
 
     @classmethod
     def open(cls, index_path: str | Path) -> "ArchiveIndex":
-        """Load an index file; verifies every referenced WARC exists."""
+        """Load an index file; verifies every line and that every referenced WARC exists."""
         index_path = Path(index_path)
-        entries: dict[str, list[SnapshotRecord]] = {}
+        text = index_path.read_text(encoding="utf-8")
+        found = _INDEX_LINE.findall(text)
+        if len(found) != text.count("\n") + (not text.endswith("\n")):
+            # A blank line, or one that breaks the grammar: from_line says why.
+            for line in text.split("\n"):
+                if line.strip() and _INDEX_LINE.fullmatch(line) is None:
+                    SnapshotRecord.from_line(line)
+        entries: dict[str, _Entry] = {}
         warc_files: set[str] = set()
-        for line in index_path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            record = SnapshotRecord.from_line(line)
-            entries.setdefault(record.canonical_url, []).append(record)
-            warc_files.add(record.warc_file)
+        for line, url, warc_file in found:
+            warc_files.add(warc_file)
+            entry = entries.get(url)
+            if entry is None:
+                entries[url] = line
+            elif isinstance(entry, str):
+                entries[url] = [entry, line]
+            else:
+                entry.append(line)
         missing = sorted(f for f in warc_files if not Path(f).is_file())
         if missing:
             raise FileNotFoundError(f"index references missing WARC files: {missing}")
-        frozen = {
-            url: tuple(
-                records
-                if len(records) == 1
-                else sorted(records, key=lambda r: (r.capture_time, r.warc_file, r.offset))
-            )
-            for url, records in entries.items()
-        }
-        return cls(frozen, index_path)
+        return cls(entries, len(found), index_path)
 
     def resolve_snapshots(self, url: str) -> list[SnapshotRecord]:
         """All snapshots of a URL, ascending capture time; [] if absent.
@@ -170,17 +194,32 @@ class ArchiveIndex:
         idempotent, so a URL that is a key is looked up as it is; only
         other spellings are canonicalized first.
         """
-        records = self._entries.get(url)
-        if records is None:
+        entry = self._entries.get(url)
+        if entry is None:
             try:
-                key = canonicalize_url(url)
+                url = canonicalize_url(url)
             except CanonicalizationError:
                 return []
-            records = self._entries.get(key, ())
-        return list(records)
+            entry = self._entries.get(url)
+            if entry is None:
+                return []
+        if not isinstance(entry, tuple):
+            entry = self._entries[url] = _decode(entry)
+        return list(entry)
 
     def urls(self) -> Iterator[str]:
         return iter(self._entries)
+
+
+# An index entry: a URL's one line, its several lines, or its decoded records.
+_Entry = str | list[str] | tuple[SnapshotRecord, ...]
+
+
+def _decode(entry: str | list[str]) -> tuple[SnapshotRecord, ...]:
+    if isinstance(entry, str):
+        return (SnapshotRecord.from_line(entry),)
+    records = map(SnapshotRecord.from_line, entry)
+    return tuple(sorted(records, key=lambda r: (r.capture_time, r.warc_file, r.offset)))
 
 
 _HTML_TYPES = ("text/html", "application/xhtml")

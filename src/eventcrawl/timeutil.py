@@ -10,6 +10,7 @@ import re
 from datetime import date, datetime, timedelta, timezone
 
 __all__ = [
+    "TS14_PATTERN",
     "format_iso",
     "format_ts14",
     "parse_duration",
@@ -20,6 +21,15 @@ __all__ = [
 
 # ASCII only: ``\d`` would also match other scripts' digits, which int() reads.
 _TS14_RE = re.compile(r"[0-9]{14}")
+# Exactly the values parse_ts14 accepts, as a regular expression: years
+# 0001-9999, each month's length, leap years (divisible by 4, centuries
+# only by 400), hours below 24, minutes and seconds below 60.
+_LEAP_YEAR = r"(?:[0-9]{2}(?:0[48]|[2468][048]|[13579][26])|(?:[02468][048]|[13579][26])00)"
+TS14_PATTERN = (
+    r"(?!0000)(?:[0-9]{4}(?:(?:0[13578]|1[02])(?:0[1-9]|[12][0-9]|3[01])"
+    r"|(?:0[469]|11)(?:0[1-9]|[12][0-9]|30)|02(?:0[1-9]|1[0-9]|2[0-8]))"
+    rf"|{_LEAP_YEAR}0229)(?:[01][0-9]|2[0-3])[0-5][0-9][0-5][0-9]"
+)
 # A week date without a weekday, the one date-only form that names more than a day.
 _WEEK_RE = re.compile(r"[0-9]{4}-?W[0-9]{2}")
 

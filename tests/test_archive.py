@@ -1,10 +1,13 @@
 import gzip
 import hashlib
+import sys
+import threading
 import time
+from datetime import datetime
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from eventcrawl import archive, warc
 from eventcrawl.archive import (
@@ -217,6 +220,34 @@ class TestIndexLines:
             with pytest.raises(ValueError, match="timestamp"):
                 ArchiveIndex.open(tmp_path / "bad.cdx")
 
+    @pytest.mark.parametrize("bad", ["-7", "+7", "1_000", "\u0667", "07", "7\t"])
+    @pytest.mark.parametrize("field", [3, 4, 5])
+    def test_open_rejects_integers_that_to_line_never_writes(self, tmp_path, field, bad):
+        path = write_warc(tmp_path / "a.warc.gz", [{"url": "http://e.de/1", "body": "x"}])
+        build_index([path], tmp_path / "index.cdx")
+        parts = (tmp_path / "index.cdx").read_text(encoding="utf-8").rstrip("\n").split(" ")
+        parts[field] = bad
+        (tmp_path / "bad.cdx").write_text(" ".join(parts) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="bad index line"):
+            ArchiveIndex.open(tmp_path / "bad.cdx")
+
+    def test_blank_lines_and_file_order_do_not_change_the_lookup(self, tmp_path):
+        pages = [
+            {"url": f"http://e.de/{name}", "body": "x", "date_iso": f"2011-03-{day:02d}T00:00:00Z"}
+            for name in ("a", "b")
+            for day in (9, 2, 5)
+        ]
+        build_index([write_warc(tmp_path / "a.warc.gz", pages)], tmp_path / "index.cdx")
+        index = ArchiveIndex.open(tmp_path / "index.cdx")
+        expected = {url: index.resolve_snapshots(url) for url in index.urls()}
+        lines = (tmp_path / "index.cdx").read_text(encoding="utf-8").splitlines()
+        shuffled = ["", lines[5], lines[0], " ", lines[3], lines[4], lines[1], "\t", lines[2]]
+        (tmp_path / "shuffled.cdx").write_text("\n".join(shuffled), encoding="utf-8")
+        reopened = ArchiveIndex.open(tmp_path / "shuffled.cdx")
+        assert (reopened.url_count, reopened.record_count) == (2, 6)
+        assert list(reopened.urls()) == ["http://e.de/b", "http://e.de/a"]  # first seen first
+        assert {url: reopened.resolve_snapshots(url) for url in reopened.urls()} == expected
+
     def test_url_with_space_indexes_opens_and_resolves(self, tmp_path):
         path = write_warc(tmp_path / "a.warc.gz", [{"url": "http://a.test/b c", "body": "x"}])
         build_index([path], tmp_path / "index.cdx")
@@ -235,6 +266,130 @@ class TestIndexLines:
         (snapshot,) = index.resolve_snapshots("http://a.test/")
         assert snapshot.media_type == "text/html"
         assert fetch_document(index, snapshot).body == b"x"
+
+
+# WARC files that exist; a file name may hold a space or a form feed.
+_WARC_NAMES = ("a.warc.gz", "a b.warc.gz", "a\x0cb.warc.gz")
+
+
+@st.composite
+def _index_lines(draw):
+    """Lines near the index grammar: each field is valid, or one time in
+    four a near miss, and some lines have too few fields."""
+    integer = (
+        st.integers(0, 10**6).map(str),
+        st.sampled_from(["-7", "+7", "1_000", "\u0667", "07", "", "x", "7\t"]),
+    )
+    fields = [
+        (st.sampled_from(["http://e.de/", "http://e.de/\x85\u2028", ""]), st.text(max_size=8)),
+        (
+            st.datetimes(min_value=datetime(1, 1, 1)).map(
+                lambda d: f"{d.year:04d}{d:%m%d%H%M%S}"
+            ),
+            st.sampled_from(["00000229000000", "20110229000000", "2011030512000x", ""]),
+        ),
+        (st.sampled_from(_WARC_NAMES), st.sampled_from(_WARC_NAMES)),
+        integer,
+        integer,
+        integer,
+        (st.sampled_from(["text/html", "text/html\x0c", ""]), st.text(max_size=8)),
+    ]
+    values = [draw(near if draw(st.integers(0, 3)) == 0 else valid) for valid, near in fields]
+    return " ".join(values if draw(st.booleans()) else values[: draw(st.integers(1, 7))])
+
+
+class TestIndexGrammar:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(line=_index_lines())
+    @example(line="http://e.de/ 20110305120000 a.warc.gz -7 99 200 text/html")
+    @example(line="http://e.de/ 00000229000000 a.warc.gz 7 99 200 text/html")
+    @example(line="http://e.de/ 20110305120000 a b.warc.gz 0 99 200 text/html")
+    @example(line="http://e.de/ 20110305120000 a b.warc.gz 0 99 200 text/html foo")
+    def test_one_line_index_opens_if_and_only_if_from_line_accepts_it(
+        self, tmp_path, monkeypatch, line
+    ):
+        monkeypatch.chdir(tmp_path)  # the WARC names are relative to it
+        for name in _WARC_NAMES:
+            Path(name).touch()
+        if "\r" in line or "\n" in line or not line.strip():
+            return  # not one line, or a blank one
+        Path("one.cdx").write_text(line, encoding="utf-8")
+        try:
+            record = SnapshotRecord.from_line(line)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as opened:
+                ArchiveIndex.open("one.cdx")
+            assert str(opened.value) == str(exc)
+            return
+        index = ArchiveIndex.open("one.cdx")
+        assert (index.url_count, index.record_count) == (1, 1)
+        assert index.resolve_snapshots(record.canonical_url) == [record]
+        assert record.to_line() == line  # the grammar is what to_line writes
+
+    def test_open_parses_no_timestamp(self, tmp_path, monkeypatch):
+        pages = [
+            {"url": f"http://e.de/{i}", "body": "x", "date_iso": f"2011-03-0{day}T00:00:00Z"}
+            for i in range(4)
+            for day in (2, 5)
+        ]
+        build_index([write_warc(tmp_path / "a.warc.gz", pages)], tmp_path / "index.cdx")
+        calls = []
+        monkeypatch.setattr(archive, "parse_ts14", lambda value: calls.append(value))
+        index = ArchiveIndex.open(tmp_path / "index.cdx")
+        assert calls == [] and index.record_count == 8
+
+    def test_lookup_decodes_only_the_requested_url(self, tmp_path, monkeypatch):
+        pages = [
+            {"url": f"http://e.de/{i}", "body": "x", "date_iso": f"2011-03-0{day}T00:00:00Z"}
+            for i in range(4)
+            for day in (5, 2)
+        ]
+        build_index([write_warc(tmp_path / "a.warc.gz", pages)], tmp_path / "index.cdx")
+        index = ArchiveIndex.open(tmp_path / "index.cdx")
+        decoded = []
+        from_line = SnapshotRecord.from_line
+
+        def counting_from_line(line):
+            decoded.append(line.split(" ")[0])
+            return from_line(line)
+
+        monkeypatch.setattr(SnapshotRecord, "from_line", counting_from_line)
+        snapshots = index.resolve_snapshots("http://e.de/1")
+        assert decoded == ["http://e.de/1"] * 2
+        assert [s.capture_time for s in snapshots] == ["20110302000000", "20110305000000"]
+        snapshots.clear()  # each call returns a list of its own
+        assert len(index.resolve_snapshots("http://e.de/1")) == 2
+        assert len(index.resolve_snapshots("HTTP://E.DE/1#x")) == 2
+        assert index.resolve_snapshots("http://e.de/absent") == []
+        assert decoded == ["http://e.de/1"] * 2  # decoded once, kept
+
+    def test_concurrent_first_lookups_agree(self, tmp_path):
+        pages = [
+            {"url": f"http://e.de/{i}", "body": "x", "date_iso": f"2011-03-0{day}T00:00:00Z"}
+            for i in range(40)
+            for day in (5, 2)
+        ]
+        build_index([write_warc(tmp_path / "a.warc.gz", pages)], tmp_path / "index.cdx")
+        reference = ArchiveIndex.open(tmp_path / "index.cdx")
+        expected = {url: reference.resolve_snapshots(url) for url in reference.urls()}
+        index = ArchiveIndex.open(tmp_path / "index.cdx")
+        results = []
+
+        def look_up_all():
+            results.append({url: index.resolve_snapshots(url) for url in expected})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=look_up_all) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 8
 
 
 class TestResolveSnapshots:

@@ -1,3 +1,4 @@
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from eventcrawl.timeutil import (
+    TS14_PATTERN,
     format_iso,
     format_ts14,
     parse_duration,
@@ -181,3 +183,47 @@ def test_ts14_matches_strptime(value):
     is_ts14 = len(value) == 14 and value.isascii() and value.isdigit()
     expected = _strptime_ts14(value) if is_ts14 else ValueError
     assert _parse_ts14_or_error(value) == expected
+
+
+_TS14 = re.compile(TS14_PATTERN)
+# Each field drawn from its valid range and one step beyond, with years
+# that test the leap rule: multiples of 4, 100 and 400, and year 0.
+_FIELDS_NEAR_RANGE = st.tuples(
+    st.one_of(
+        st.integers(0, 9999),
+        st.integers(0, 99).map(lambda c: c * 100),
+        st.integers(0, 2499).map(lambda q: q * 4),
+    ),
+    st.integers(0, 13),
+    st.integers(0, 32),
+    st.integers(0, 24),
+    st.integers(0, 60),
+    st.integers(0, 60),
+).map(lambda f: "%04d%02d%02d%02d%02d%02d" % f)
+
+
+@given(
+    st.one_of(
+        _FIELDS_NEAR_RANGE,
+        st.text(_DIGITS, min_size=14, max_size=14),
+        _one_changed(_NEAR_DIGITS),
+        st.text(_DIGITS, min_size=12, max_size=16),
+    )
+)
+@example("00000229000000")  # year 0 is divisible by 400, and still invalid
+@example("00040229000000")
+@example("04000229000000")
+@example("19000229000000")
+@example("20000229000000")
+@example("21000229000000")
+@example("20110229000000")
+@example("20110431000000")
+@example("99991231235959")
+@example("00010101000000")
+@example("20110307120000\n")
+@example("\u0662\u0660\u0661\u06610307120000")
+def test_ts14_pattern_accepts_what_parse_ts14_accepts(value):
+    # The index line grammar embeds the pattern, so the open of an index
+    # checks its timestamps without parsing them.
+    accepted = _TS14.fullmatch(value) is not None
+    assert accepted == (_parse_ts14_or_error(value) is not ValueError)

@@ -18,9 +18,10 @@ import csv
 import logging
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
 from . import warc
 from .htmlscan import ScannedPage, decode_html_bytes, outlinks, scan_html
@@ -256,18 +257,9 @@ def build_index(
                 records.append(record)
 
     records.sort(key=lambda r: (r.canonical_url, r.capture_time, r.warc_file, r.offset))
-    index_path = Path(index_path)
-    index_path.parent.mkdir(parents=True, exist_ok=True)
-    # Readers see the previous index or the new one, never a partial file.
-    temp_path = index_path.with_name(f"{index_path.name}.{os.getpid()}.tmp")
-    try:
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(record.to_line() + "\n")
-        os.replace(temp_path, index_path)
-    except BaseException:
-        temp_path.unlink(missing_ok=True)
-        raise
+    with open_replacing(index_path) as handle:
+        for record in records:
+            handle.write(record.to_line() + "\n")
     url_count = len({r.canonical_url for r in records})
     return IndexSummary(
         url_count=url_count, record_count=len(records), skipped=skipped, left_out=left_out
@@ -348,7 +340,6 @@ def write_collection(
     the collection.
     """
     out_dir = Path(out_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
     warc_path = out_dir / "collection.warc.gz"
     manifest_path = out_dir / "manifest.csv"
     edges_path = out_dir / "edges.csv"
@@ -356,35 +347,22 @@ def write_collection(
     items = list(entries)
     member_urls = {entry.snapshot.canonical_url for entry, _ in items}
     edges: list[tuple[str, str]] = []
-    retained_degree: dict[str, int] = {}
+    manifest_rows: list[list] = []
 
-    with warc.WarcWriter(warc_path, compress=True) as writer:
-        for entry, _relevance in items:
+    # The WARC first: only its copy reads archive bytes, and a failure there changes no file.
+    with replacing(warc_path) as temp_path, warc.WarcWriter(temp_path, compress=True) as writer:
+        for entry, relevance in items:
             snapshot = entry.snapshot
             raw = warc.read_raw_span(snapshot.warc_file, snapshot.offset, snapshot.length)
             writer.write_record_bytes(raw)
             targets = [target for target in entry.outlinks if target in member_urls]
-            retained_degree[snapshot.canonical_url] = len(targets)
+            manifest_rows.append(
+                [snapshot.canonical_url, snapshot.capture_time, repr(relevance), len(targets)]
+            )
             edges.extend((snapshot.canonical_url, target) for target in targets)
 
-    with open(manifest_path, "w", encoding="utf-8", newline="") as handle:
-        out = csv.writer(handle)
-        out.writerow(["url", "capture_time", "relevance", "out_degree"])
-        for entry, relevance in items:
-            snapshot = entry.snapshot
-            out.writerow(
-                [
-                    snapshot.canonical_url,
-                    snapshot.capture_time,
-                    repr(relevance),
-                    retained_degree[snapshot.canonical_url],
-                ]
-            )
-
-    with open(edges_path, "w", encoding="utf-8", newline="") as handle:
-        out = csv.writer(handle)
-        out.writerow(["src_url", "dst_url"])
-        out.writerows(edges)
+    write_csv(manifest_path, ["url", "capture_time", "relevance", "out_degree"], manifest_rows)
+    write_csv(edges_path, ["src_url", "dst_url"], edges)
 
     return CollectionManifest(
         warc_path=warc_path,
@@ -393,3 +371,37 @@ def write_collection(
         record_count=len(items),
         edge_count=len(edges),
     )
+
+
+@contextmanager
+def replacing(path: str | Path) -> Iterator[Path]:
+    """Yield a temp path beside ``path``; move it onto ``path`` if the block succeeds.
+
+    Every file eventcrawl writes goes through here, so a reader sees the
+    old file or the new one, never a partial file. The temp file is
+    ``NAME.PID.tmp``; on an exception it is removed and the error re-raised.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp_path = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        yield temp_path
+        os.replace(temp_path, path)
+    except BaseException:
+        temp_path.unlink(missing_ok=True)
+        raise
+
+
+@contextmanager
+def open_replacing(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text handle, without newline translation, on :func:`replacing`'s temp file."""
+    with replacing(path) as temp, open(temp, "w", encoding="utf-8", newline="") as handle:
+        yield handle
+
+
+def write_csv(path: str | Path, header: list[str], rows: Iterable, lineterminator="\r\n") -> None:
+    """Write a header row and ``rows`` as quoted CSV, replacing ``path`` as a whole."""
+    with open_replacing(path) as handle:
+        out = csv.writer(handle, lineterminator=lineterminator)
+        out.writerow(header)
+        out.writerows(rows)

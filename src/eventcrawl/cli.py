@@ -11,7 +11,6 @@ failure. All outputs are deterministic given identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import math
 import sys
@@ -20,6 +19,7 @@ from pathlib import Path
 
 # fetch_document is unused here; bench/tracing.py checks that this module binds it.
 from .archive import ArchiveIndex, build_index, fetch_document, write_collection  # noqa: F401
+from .archive import open_replacing, write_csv
 from .crawler import CrawlStrategy, SnapshotAnalysis, run_crawl, write_trace
 from .evalharness import (
     SyntheticArchiveConfig,
@@ -211,18 +211,16 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     result = run_crawl(spec, index, strategy, analysis=analysis)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = write_collection(
         ((item, item.score.combined) for item in result.collection), out_dir
     )
     write_trace(result.trace, out_dir / "trace.csv")
     accumulated = result.accumulated_topical()
-    with open(out_dir / "run_summary.csv", "w", encoding="utf-8", newline="") as handle:
-        out = csv.writer(handle)
-        out.writerow(["fetched", "missing", "queued_at_end", "accumulated_relevance"])
-        out.writerow(
-            [len(result.collection), len(result.missing), result.queued_at_end, repr(accumulated)]
-        )
+    write_csv(
+        out_dir / "run_summary.csv",
+        ["fetched", "missing", "queued_at_end", "accumulated_relevance"],
+        [[len(result.collection), len(result.missing), result.queued_at_end, repr(accumulated)]],
+    )
     print(
         f"crawl [{strategy.value}] fetched {len(result.collection)} documents, "
         f"{len(result.missing)} missing, accumulated relevance {accumulated:.3f}"
@@ -300,7 +298,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         truth, scope, target_size=args.target_size, use_keyword=bool(args.keyword)
     )
     spec_path = Path(args.out) / "spec.json"
-    spec_path.write_text(serialize_spec(spec), encoding="utf-8")
+    with open_replacing(spec_path) as handle:
+        handle.write(serialize_spec(spec))
     print(f"generated {config.page_count} pages -> {warc_paths[0]}")
     print(f"ground truth: {Path(args.out) / 'ground_truth.csv'}")
     print(f"spec: {spec_path}")

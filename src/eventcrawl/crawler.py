@@ -10,7 +10,6 @@ retried.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import itertools
 import logging
@@ -20,7 +19,7 @@ from enum import Enum
 from typing import Iterable
 
 from . import warc
-from .archive import ArchiveIndex, ArchivedDocument, SnapshotRecord, fetch_document
+from .archive import ArchiveIndex, ArchivedDocument, SnapshotRecord, fetch_document, write_csv
 from .htmlscan import outlinks as _page_outlinks
 from .relevance import (
     RelevanceScore,
@@ -324,7 +323,5 @@ def run_crawl(
 
 def write_trace(trace: Iterable[TraceRecord], path) -> None:
     """Write the per-fetch trace as quoted CSV with ``\\n`` line ends."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        out = csv.writer(handle, lineterminator="\n")
-        out.writerow(field.name for field in fields(TraceRecord))
-        out.writerows(astuple(record) for record in trace)
+    header = [field.name for field in fields(TraceRecord)]
+    write_csv(path, header, (astuple(record) for record in trace), lineterminator="\n")

@@ -11,7 +11,6 @@ produce byte-identical archives.
 
 from __future__ import annotations
 
-import csv
 import logging
 import uuid
 from dataclasses import dataclass, field
@@ -21,6 +20,7 @@ from pathlib import Path
 from random import Random
 
 from .archive import ArchiveIndex, SnapshotRecord, fetch_document
+from .archive import open_replacing, replacing, write_csv
 from .crawler import CrawlStrategy, SnapshotAnalysis, TopicalScorer, run_crawl
 from .spec import (
     CollectionSpecification,
@@ -104,7 +104,6 @@ def generate_archive(
 ) -> tuple[list[Path], GroundTruth]:
     """Write the synthetic archive and return its WARC paths + ground truth."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = Random(config.random_seed)
 
     sample_relevant = _zipf_sampler([f"aquil{i}on" for i in range(60)])
@@ -172,7 +171,7 @@ def generate_archive(
 
     warc_path = out_dir / "pages.warc.gz"
     capture_times: dict[str, str] = {}
-    with WarcWriter(warc_path, compress=True) as writer:
+    with replacing(warc_path) as temp_path, WarcWriter(temp_path, compress=True) as writer:
         for url in [hub_url] + urls:
             ts14 = format_ts14(datetime.fromtimestamp(capture_epochs[url], tz=timezone.utc))
             capture_times[url] = ts14
@@ -209,8 +208,11 @@ def generate_archive(
         reference_text=reference_text,
         separator_keyword=config.separator_keyword,
     )
-    _write_ground_truth(truth, out_dir / "ground_truth.csv")
-    (out_dir / "reference.txt").write_text(reference_text + "\n", encoding="utf-8")
+    rows = [[url, labels[url], capture_times.get(url, "")] for url in sorted(labels)]
+    rows.extend([url, LABEL_OMITTED, ""] for url in sorted(missing_urls))
+    write_csv(out_dir / "ground_truth.csv", ["url", "label", "capture_time"], rows)
+    with open_replacing(out_dir / "reference.txt") as handle:
+        handle.write(reference_text + "\n")
     return [warc_path], truth
 
 
@@ -278,16 +280,6 @@ def _render_page(
         f"<title>{tail}</title></head>\n"
         f"<body><p>{body}</p>\n<ul>{''.join(items)}</ul></body></html>\n"
     )
-
-
-def _write_ground_truth(truth: GroundTruth, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        out = csv.writer(handle)
-        out.writerow(["url", "label", "capture_time"])
-        for url in sorted(truth.labels):
-            out.writerow([url, truth.labels[url], truth.capture_times.get(url, "")])
-        for url in sorted(truth.omitted):
-            out.writerow([url, LABEL_OMITTED, ""])
 
 
 def spec_for_ground_truth(
@@ -439,28 +431,18 @@ def compare_variants(
 def write_report_csvs(report: EvalReport, out_dir: str | Path) -> tuple[Path, Path]:
     """Emit the series and summary CSVs for a comparison report."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     series_path = out_dir / "accumulated_relevance.csv"
     summary_path = out_dir / "summary.csv"
-
-    with open(series_path, "w", encoding="utf-8", newline="") as handle:
-        out = csv.writer(handle)
-        out.writerow(["strategy", "documents_downloaded", "accumulated_relevance"])
-        for run in report.runs:
-            for downloaded, accumulated in run.checkpoints:
-                out.writerow([run.strategy.value, downloaded, repr(accumulated)])
-
-    with open(summary_path, "w", encoding="utf-8", newline="") as handle:
-        out = csv.writer(handle)
-        out.writerow(["strategy", "urls_considered", "fetched", "missing", "queued_at_end"])
-        for run in report.runs:
-            out.writerow(
-                [
-                    run.strategy.value,
-                    run.urls_considered,
-                    run.fetched,
-                    run.missing,
-                    run.queued_at_end,
-                ]
-            )
+    series = [
+        [run.strategy.value, downloaded, repr(accumulated)]
+        for run in report.runs
+        for downloaded, accumulated in run.checkpoints
+    ]
+    write_csv(series_path, ["strategy", "documents_downloaded", "accumulated_relevance"], series)
+    summary = [
+        [run.strategy.value, run.urls_considered, run.fetched, run.missing, run.queued_at_end]
+        for run in report.runs
+    ]
+    header = ["strategy", "urls_considered", "fetched", "missing", "queued_at_end"]
+    write_csv(summary_path, header, summary)
     return series_path, summary_path

@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .archive import ArchiveIndex, fetch_document
+from .archive import ArchiveIndex, fetch_document, open_replacing
 from .spec import TopicalScope
 from .stem import STEMMERS
 
@@ -117,8 +117,8 @@ def load_idf_dictionary(path: str | Path) -> IdfDictionary:
     """Read a ``term TAB doc_frequency`` file with a ``#corpus_size N`` header."""
     corpus_size = None
     frequencies: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.rstrip("\n")
+    # Not splitlines(): it would also split a term at U+2028 and other separators.
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -145,9 +145,13 @@ def _parse_count(text: str, path: str | Path, lineno: int) -> int:
 
 
 def save_idf_dictionary(idf: IdfDictionary, path: str | Path) -> None:
-    lines = [f"#corpus_size {idf.corpus_size}"]
-    lines.extend(f"{term}\t{df}" for term, df in sorted(idf.doc_frequencies.items()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write ``idf`` as load_idf_dictionary reads it; a term it would misread raises ValueError."""
+    with open_replacing(path) as handle:
+        handle.write(f"#corpus_size {idf.corpus_size}\n")
+        for term, df in sorted(idf.doc_frequencies.items()):
+            if term.startswith("#") or any(char in term for char in "\t\n\r"):
+                raise ValueError(f"cannot save IDF term {term!r}")
+            handle.write(f"{term}\t{df}\n")
 
 
 @lru_cache(maxsize=1)

@@ -104,7 +104,9 @@ def parse_iso8601(value: str, *, end_of_day: bool = False) -> datetime:
 
 def format_iso(when: datetime) -> str:
     t = _as_utc(when)
-    return f"{t.year:04d}-{t.month:02d}-{t.day:02d}T{t.hour:02d}:{t.minute:02d}:{t.second:02d}Z"
+    # Whole seconds are written without a fraction, so WARC-Dates keep their form.
+    fraction = f".{t.microsecond:06d}" if t.microsecond else ""
+    return f"{t.year:04d}-{t.month:02d}-{t.day:02d}T{t.hour:02d}:{t.minute:02d}:{t.second:02d}{fraction}Z"
 
 
 def to_epoch(when: datetime) -> float:

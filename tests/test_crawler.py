@@ -1,6 +1,7 @@
 import csv
 import math
 import random
+from dataclasses import fields
 from datetime import datetime, timezone
 
 import pytest
@@ -25,6 +26,7 @@ from eventcrawl.spec import (
 )
 from eventcrawl.text import IdfDictionary
 from eventcrawl.timeutil import parse_ts14
+from eventcrawl.urlnorm import CanonicalizationError, canonicalize_url
 
 from conftest import page_html, write_warc
 from oracles import reference_bfs, reference_crawl, select_snapshot_oracle
@@ -403,6 +405,46 @@ def test_trace_csv_quotes_a_url_with_a_comma(tmp_path):
     assert [row["url"] for row in rows] == ["http://a.test/q?a=1,2", "http://a.test/gone"]
     assert [row["combined"] for row in rows] == ["0.75", ""]
     assert path.read_bytes().endswith(b"\n2,miss,http://a.test/gone,0.75,,,,\n")
+
+
+def _canonical_or_none(path):
+    try:
+        return canonicalize_url("http://a.test/" + path)
+    except CanonicalizationError:
+        return None
+
+
+# Every URL the crawler traces comes off the frontier, so it is canonical.
+_trace_urls = st.text().map(_canonical_or_none).filter(bool)
+_scores = st.none() | st.floats(allow_nan=False)
+_trace_records = st.builds(
+    TraceRecord,
+    st.integers(min_value=1, max_value=10**9),
+    st.sampled_from(["fetch", "miss", "skip"]),
+    _trace_urls,
+    st.floats(allow_nan=False),
+    st.just("") | st.from_regex(r"[0-9]{14}", fullmatch=True),
+    _scores,
+    _scores,
+    _scores,
+)
+
+
+@given(st.lists(_trace_records, max_size=8))
+def test_trace_csv_reads_back_as_the_trace(tmp_path_factory, trace):
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    write_trace(trace, path)
+    with open(path, encoding="utf-8", newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == [field.name for field in fields(TraceRecord)]
+    read = [
+        TraceRecord(
+            int(step), action, url, float(priority), snapshot_time,
+            *(float(score) if score else None for score in scores),
+        )
+        for step, action, url, priority, snapshot_time, *scores in rows
+    ]
+    assert read == trace
 
 
 def _random_fixture(tmp_path, event_scope, rng, n_urls=30, name="rand"):

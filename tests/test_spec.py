@@ -1,10 +1,12 @@
 import json
 from dataclasses import replace
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, strategies as st
 
 from eventcrawl.spec import (
+    REFERENCE_KINDS,
     CollectionSpecification,
     ReferenceDocument,
     SpecParseError,
@@ -16,6 +18,7 @@ from eventcrawl.spec import (
     serialize_spec,
     validate_spec,
 )
+from eventcrawl.stem import STEMMERS
 
 MINIMAL = {
     "name": "test-event",
@@ -85,6 +88,63 @@ def test_round_trip_preserves_all_fields():
     spec = parse_spec(doc(alpha=0.25, target_size=42))
     again = parse_spec(serialize_spec(spec))
     assert again == spec
+
+
+def test_round_trip_keeps_fractional_seconds():
+    temporal = dict(
+        MINIMAL["temporal"], event_start="2011-03-01T00:00:00.5Z", event_end="2011-03-14"
+    )
+    spec = parse_spec(doc(temporal=temporal))
+    text = serialize_spec(spec)
+    assert '"event_start": "2011-03-01T00:00:00.500000Z"' in text
+    # A whole second is written as before, without a fraction.
+    assert '"event_end": "2011-03-14T23:59:59Z"' in text
+    again = parse_spec(text)
+    assert again.temporal.start_epoch == 1298937600.5
+    assert again == spec
+
+
+_non_blank = st.text(min_size=1).filter(str.strip)
+# Whole-minute offsets, and a sub-second one: its UTC time has another fraction.
+_zones = st.sampled_from(
+    [
+        timezone.utc,
+        timezone(timedelta(hours=5, minutes=30)),
+        timezone(-timedelta(hours=9)),
+        timezone(timedelta(seconds=1, microseconds=250_000)),
+    ]
+)
+# One day in from each end of the calendar, so that no offset leaves the UTC range.
+_instants = st.datetimes(
+    min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30), timezones=_zones
+)
+
+
+@st.composite
+def _specs(draw):
+    start, end = sorted([draw(_instants), draw(_instants)], key=lambda t: t.timestamp())
+    durations = st.floats(min_value=0.0, allow_nan=False)
+    seeds = st.lists(st.from_regex(r"https?://[a-z]{1,8}\.test/[a-z0-9/]{0,12}", fullmatch=True))
+    kinds = st.sampled_from(REFERENCE_KINDS)
+    references = st.builds(ReferenceDocument, kinds, st.text(min_size=1))
+    return CollectionSpecification(
+        name=draw(_non_blank),
+        topical=TopicalScope(
+            reference_documents=tuple(draw(st.lists(references, min_size=1, max_size=3))),
+            keywords=tuple(draw(st.lists(_non_blank, max_size=3))),
+            language=draw(st.sampled_from(sorted(STEMMERS))),
+        ),
+        temporal=TemporalScope(start, end, draw(durations), draw(durations)),
+        seeds=tuple(draw(seeds.filter(bool))),
+        target_size=draw(st.integers(min_value=1, max_value=10**12)),
+        alpha=draw(st.floats(min_value=0.0, max_value=1.0)),
+    )
+
+
+@given(_specs())
+def test_serialize_then_parse_gives_the_spec_back(spec):
+    assert validate_spec(spec) == []
+    assert parse_spec(serialize_spec(spec)) == spec
 
 
 def test_parsed_spec_passes_validation():

@@ -184,6 +184,35 @@ class TestIdfDictionary:
         assert loaded.doc_frequencies == {"a": 2, "b c": 1}
         assert loaded.corpus_size == 5
 
+    @given(
+        st.dictionaries(
+            st.text().filter(lambda t: t[:1] != "#" and not any(c in t for c in "\t\n\r")),
+            st.integers(min_value=1, max_value=1000),
+        ),
+        st.integers(min_value=1000, max_value=10**12),
+    )
+    def test_save_then_load_gives_the_dictionary_back(self, tmp_path_factory, frequencies, size):
+        path = tmp_path_factory.mktemp("idf") / "idf.tsv"
+        save_idf_dictionary(IdfDictionary(frequencies, size), path)
+        loaded = load_idf_dictionary(path)
+        assert dict(loaded.doc_frequencies) == frequencies
+        assert loaded.corpus_size == size
+
+    def test_term_with_a_line_separator_loads(self, tmp_path):
+        path = tmp_path / "idf.tsv"
+        save_idf_dictionary(IdfDictionary({"a\u2028b": 1, "c\x85\x0cd": 2}, 2), path)
+        assert load_idf_dictionary(path).doc_frequencies == {"a\u2028b": 1, "c\x85\x0cd": 2}
+
+    @pytest.mark.parametrize("term", ["#tag", "#corpus_size", "a\tb", "a\nb", "a\rb"])
+    def test_save_rejects_a_term_the_file_cannot_hold(self, tmp_path, term):
+        path = tmp_path / "idf.tsv"
+        save_idf_dictionary(IdfDictionary({"kept": 1}, 2), path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="cannot save IDF term"):
+            save_idf_dictionary(IdfDictionary({"a": 1, term: 1, "z": 1}, 2), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["idf.tsv"]
+
     def test_df_above_corpus_size_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("#corpus_size 2\nterm\t3\n", encoding="utf-8")

@@ -1,6 +1,6 @@
 import re
 import sys
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -43,6 +43,15 @@ def test_iso_datetime_with_zulu_and_offset():
 
 def test_format_iso_is_utc_zulu():
     assert format_iso(datetime(2011, 3, 12, 9, tzinfo=timezone.utc)) == "2011-03-12T09:00:00Z"
+
+
+def test_format_iso_writes_a_fraction_only_when_there_is_one():
+    half = datetime(2011, 3, 12, 9, 0, 0, 500000, tzinfo=timezone.utc)
+    assert format_iso(half) == "2011-03-12T09:00:00.500000Z"
+    # The fraction is the UTC time's: a sub-second offset changes it.
+    shifted = half.replace(tzinfo=timezone(timedelta(microseconds=250000)))
+    assert format_iso(shifted) == "2011-03-12T09:00:00.250000Z"
+    assert parse_iso8601(format_iso(half)) == half
 
 
 @pytest.mark.parametrize(

@@ -155,9 +155,8 @@ class ArchiveIndex:
     after it.
     """
 
-    def __init__(self, entries: dict[str, _Entry], record_count: int, path: Path | None = None):
+    def __init__(self, entries: dict[str, _Entry], record_count: int):
         self._entries = entries
-        self.path = path
         self.url_count = len(entries)
         self.record_count = record_count
 
@@ -186,7 +185,7 @@ class ArchiveIndex:
         missing = sorted(f for f in warc_files if not Path(f).is_file())
         if missing:
             raise FileNotFoundError(f"index references missing WARC files: {missing}")
-        return cls(entries, len(found), index_path)
+        return cls(entries, len(found))
 
     def resolve_snapshots(self, url: str) -> list[SnapshotRecord]:
         """All snapshots of a URL, ascending capture time; [] if absent.
@@ -400,8 +399,24 @@ def open_replacing(path: str | Path) -> Iterator[TextIO]:
 
 
 def write_csv(path: str | Path, header: list[str], rows: Iterable, lineterminator="\r\n") -> None:
-    """Write a header row and ``rows`` as quoted CSV, replacing ``path`` as a whole."""
+    """Write a header row and ``rows`` as quoted CSV, replacing ``path`` as a whole.
+
+    Rows are formed with ``\\r\\n`` ends and written with ``lineterminator``:
+    before Python 3.13, ``csv`` quotes a field holding ``\\r`` or ``\\n`` only
+    if the line terminator holds it, and a reader splits an unquoted one.
+    """
     with open_replacing(path) as handle:
-        out = csv.writer(handle, lineterminator=lineterminator)
+        out = csv.writer(_RowEnds(handle, lineterminator))
         out.writerow(header)
         out.writerows(rows)
+
+
+class _RowEnds:
+    """A ``csv.writer``'s file: each row comes in one ``write`` and leaves ending in ``end``."""
+
+    def __init__(self, handle: TextIO, end: str):
+        self._handle = handle
+        self._end = end
+
+    def write(self, row: str) -> int:
+        return self._handle.write(row[: -len("\r\n")] + self._end)

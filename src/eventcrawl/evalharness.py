@@ -286,9 +286,7 @@ def spec_for_ground_truth(
     truth: GroundTruth,
     scope: TemporalScope,
     *,
-    name: str = "synthetic-event",
     target_size: int = 1000,
-    alpha: float = 0.5,
     use_keyword: bool = False,
 ) -> CollectionSpecification:
     """Build the collection spec matching a generated archive."""
@@ -303,12 +301,11 @@ def spec_for_ground_truth(
         language="none",
     )
     return CollectionSpecification(
-        name=name,
+        name="synthetic-event",
         topical=topical,
         temporal=scope,
         seeds=truth.seeds,
         target_size=target_size,
-        alpha=alpha,
     )
 
 

@@ -59,7 +59,6 @@ class Analyzer:
         stemmer = STEMMERS.get(language)
         if stemmer is None:
             raise ValueError(f"unknown language: {language!r}")
-        self.language = language
         self._stopwords = _load_stopwords(language)
         self._stem = stemmer
         self._cache: dict[str, str] = {}
@@ -186,13 +185,10 @@ class TermVector:
     """Sparse non-negative term weights with a cached Euclidean norm."""
 
     weights: Mapping[str, float]
-    norm: float = field(default=None)  # type: ignore[assignment]
+    norm: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.norm is None:
-            object.__setattr__(
-                self, "norm", math.sqrt(sum(w * w for w in self.weights.values()))
-            )
+        object.__setattr__(self, "norm", math.sqrt(sum(w * w for w in self.weights.values())))
 
     def scaled(self, factor: float) -> "TermVector":
         return TermVector({t: w * factor for t, w in self.weights.items()})
@@ -255,11 +251,7 @@ def keyword_token_set(keywords: Iterable[str], language: str) -> frozenset[str]:
 
 
 def build_reference_vector(
-    topical: TopicalScope,
-    idf: IdfDictionary,
-    boost: KeywordBoost | None = None,
-    *,
-    index: ArchiveIndex | None = None,
+    topical: TopicalScope, idf: IdfDictionary, *, index: ArchiveIndex | None = None
 ) -> TermVector:
     """Vectorize the topical scope: concatenated reference texts, boosted.
 
@@ -267,12 +259,11 @@ def build_reference_vector(
     text, then each term's weight is multiplied by its keyword-overlap
     factor. ``index`` is required when any reference is an archive URL.
     """
-    boost = boost or KeywordBoost()
     texts = resolve_reference_texts(topical, index=index)
     tokens = analyze("\n".join(texts), topical.language)
     vector = vectorize(tokens, idf)
     keyword_tokens = keyword_token_set(topical.keywords, topical.language)
-    return boost_vector(vector, keyword_tokens, boost)
+    return boost_vector(vector, keyword_tokens, KeywordBoost())
 
 
 def resolve_reference_texts(

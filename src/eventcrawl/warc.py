@@ -4,11 +4,13 @@ Reads response records with their on-disk byte spans so an index can
 point back at them, and writes deterministic records (fixed header
 order, explicit record IDs and dates, gzip members with zero mtime).
 Compression is detected per record, so files mixing plain and gzipped
-members still read correctly.
+members still read correctly. A scan reads each file through the
+file's own ``_CHUNK``-byte buffer.
 """
 
 from __future__ import annotations
 
+import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +31,7 @@ __all__ = [
 _GZIP_MAGIC = b"\x1f\x8b"
 _CRLF = b"\r\n"
 _HEADER_END = b"\r\n\r\n"
-# Bytes read from a file at a time while scanning it.
+# The buffer size of a scanned file: the bytes read from it at a time.
 _CHUNK = 1 << 16
 
 
@@ -74,61 +76,35 @@ def find_header(headers: Iterable[tuple[str, str]], name: str) -> str | None:
     return next((value for key, value in headers if key.lower() == wanted), None)
 
 
-class _Window:
-    """Reads an open file ``_CHUNK`` bytes at a time.
+def _chunks(handle: BinaryIO, pos: int) -> Iterator[bytes]:
+    """The file's bytes from ``pos`` on, one peek at its buffer at a time.
 
-    ``data`` holds the file's bytes from offset ``start``; the handle
-    stands at ``start + len(data)``. Each method takes absolute offsets
-    and seeks only to go back before ``start``.
+    The handle moves past a chunk only when the next one is asked for,
+    so a seek to an offset within the last chunk stays inside the buffer.
     """
+    handle.seek(pos)
+    while chunk := handle.peek():
+        yield chunk
+        handle.seek(len(chunk), 1)
 
-    def __init__(self, handle: BinaryIO):
-        self._handle = handle
-        self.data = b""
-        self.start = 0
 
-    def fill(self, pos: int, size: int) -> int:
-        """Hold ``size`` bytes from ``pos``, or all up to the end of the
-        file; return the index of ``pos`` in ``data``."""
-        index = pos - self.start
-        if not 0 <= index <= len(self.data):
-            self._handle.seek(pos)
-            self.data, self.start, index = b"", pos, 0
-        if len(self.data) - index < size:
-            parts = [self.data[index:]]
-            held = len(parts[0])
-            while held < size and (chunk := self._handle.read(_CHUNK)):
-                parts.append(chunk)
-                held += len(chunk)
-            self.data, self.start, index = b"".join(parts), pos, 0
-        return index
+def _find(handle: BinaryIO, pos: int, *markers: bytes) -> int:
+    """Offset of the first of ``markers`` at or after ``pos``; -1 if none.
 
-    def chunks(self, pos: int) -> Iterator[bytes | memoryview]:
-        """The file's bytes from ``pos`` on, one chunk at a time."""
-        chunk = memoryview(self.data)[self.fill(pos, 1) :]
-        while chunk:
-            yield chunk
-            self.start += len(self.data)
-            self.data = chunk = self._handle.read(_CHUNK)
-
-    def find(self, pos: int, *markers: bytes) -> int:
-        """Offset of the first of ``markers`` at or after ``pos``; -1 if none.
-
-        Only the last few bytes, which a marker may straddle, are kept
-        from one chunk to the next. No marker occurs inside another, so
-        a marker found before a straddling one is the first.
-        """
-        overlap = max(map(len, markers)) - 1
-        index = self.fill(pos, 0)
-        while True:
-            hits = [hit for hit in (self.data.find(m, index) for m in markers) if hit >= 0]
-            if hits:
-                return self.start + min(hits)
-            end = self.start + len(self.data)
-            pos = max(self.start + index, end - overlap)
-            index = self.fill(pos, end - pos + 1)
-            if self.start + len(self.data) == end:
-                return -1
+    Only the last few bytes, which a marker may straddle, are kept from
+    one chunk to the next. No marker occurs inside another, so a marker
+    found before a straddling one is the first.
+    """
+    overlap = max(map(len, markers)) - 1
+    tail = b""
+    for chunk in _chunks(handle, pos):
+        data = tail + chunk
+        hits = [hit for hit in (data.find(m) for m in markers) if hit >= 0]
+        if hits:
+            return pos + min(hits)
+        tail = data[-overlap:]
+        pos += len(data) - len(tail)
+    return -1
 
 
 def _inflate_member(
@@ -153,19 +129,21 @@ def _inflate_member(
     raise MalformedRecord("truncated gzip member", path, offset)
 
 
-def _plain_record(window: _Window, pos: int, path: str | Path) -> tuple[bytes, int]:
+def _plain_record(
+    handle: BinaryIO, pos: int, size: int, path: str | Path
+) -> tuple[bytes, int]:
     """The bytes and length of the uncompressed record at ``pos``."""
-    head_end = window.find(pos, _HEADER_END)
+    head_end = _find(handle, pos, _HEADER_END)
     if head_end < 0:
         raise MalformedRecord("record header never terminates", path, pos)
-    index = window.fill(pos, head_end - pos)
-    content_length = _content_length_of(window.data[index : index + head_end - pos], path, pos)
+    handle.seek(pos)
+    content_length = _content_length_of(handle.read(head_end - pos), path, pos)
     length = head_end - pos + len(_HEADER_END) + content_length + len(_HEADER_END)
-    index = window.fill(pos, length)
-    raw = window.data[index : index + length]
-    if len(raw) != length:
+    # Checked before the read, which would allocate all ``length`` bytes.
+    if pos + length > size:
         raise MalformedRecord("record block extends past end of file", path, pos)
-    return raw, length
+    handle.seek(pos)
+    return handle.read(length), length
 
 
 def _content_length_of(head: bytes, path: str | Path, offset: int) -> int:
@@ -212,16 +190,16 @@ def iter_raw_records(path: str | Path) -> Iterator[RawRecord | MalformedRecord]:
 
     Yielding errors (rather than raising) lets callers skip and tally
     corrupt records; the scan resynchronizes at the next record start.
-    The file is read in one pass, a chunk at a time, so memory is
-    bounded by the largest record rather than by the file; only the
-    bytes after an unreadable record's start are read again.
+    The file is read in one pass through its own ``_CHUNK``-byte buffer,
+    so memory is bounded by the largest record rather than by the file;
+    only the bytes after an unreadable record's start are read again.
     """
-    with open(path, "rb") as handle:
-        window = _Window(handle)
+    with open(path, "rb", buffering=_CHUNK) as handle:
+        size = os.fstat(handle.fileno()).st_size
         pos = 0
         while True:
-            index = window.fill(pos, 2)
-            lead = window.data[index : index + 2]
+            handle.seek(pos)
+            lead = handle.read(2)
             if not lead:
                 return
             # Skip stray CRLF padding between records.
@@ -230,13 +208,13 @@ def iter_raw_records(path: str | Path) -> Iterator[RawRecord | MalformedRecord]:
                 continue
             try:
                 if lead == _GZIP_MAGIC:
-                    raw, length = _inflate_member(window.chunks(pos), path, pos)
+                    raw, length = _inflate_member(_chunks(handle, pos), path, pos)
                 else:
-                    raw, length = _plain_record(window, pos, path)
+                    raw, length = _plain_record(handle, pos, size, path)
                 record = _parse_record_bytes(raw, pos, length, path)
             except MalformedRecord as err:
                 yield err
-                pos = window.find(pos + 1, _GZIP_MAGIC, b"WARC/")
+                pos = _find(handle, pos + 1, _GZIP_MAGIC, b"WARC/")
                 if pos < 0:
                     return
                 continue

@@ -5,7 +5,7 @@ from dataclasses import fields
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eventcrawl.archive import ArchiveIndex, ArchivedDocument, SnapshotRecord, build_index
 from eventcrawl.crawler import (
@@ -431,6 +431,7 @@ _trace_records = st.builds(
 
 
 @given(st.lists(_trace_records, max_size=8))
+@example([TraceRecord(1, "fetch", "a\rb", 0.0, "a\rb")])
 def test_trace_csv_reads_back_as_the_trace(tmp_path_factory, trace):
     path = tmp_path_factory.mktemp("trace") / "trace.csv"
     write_trace(trace, path)

@@ -240,9 +240,7 @@ class TestKeywordBoost:
             language="en",
         )
         boosted = build_reference_vector(scope, _FixedIdf({}))
-        plain = build_reference_vector(
-            scope, _FixedIdf({}), KeywordBoost(1.0, 1.0, 1.0)
-        )
+        plain = vectorize(analyze("the election results", "en"), _FixedIdf({}))
         assert boosted.weights["elect"] == pytest.approx(2.0 * plain.weights["elect"])
 
     def test_partial_overlap_on_bigram(self):
@@ -252,9 +250,7 @@ class TestKeywordBoost:
             language="en",
         )
         boosted = build_reference_vector(scope, _FixedIdf({}))
-        plain = build_reference_vector(
-            scope, _FixedIdf({}), KeywordBoost(1.0, 1.0, 1.0)
-        )
+        plain = vectorize(analyze("the election results", "en"), _FixedIdf({}))
         assert boosted.weights["elect result"] == pytest.approx(
             1.5 * plain.weights["elect result"]
         )

@@ -145,6 +145,16 @@ def _record(i, payload, version="WARC/1.0"):
     )
 
 
+def test_content_length_past_end_of_file_is_reported_not_read(tmp_path):
+    path = tmp_path / "g.warc"
+    head = b"WARC/1.0\r\nWARC-Type: response\r\nContent-Length: 1000000000000000\r\n\r\n"
+    path.write_bytes(head + b"short" + _record(1, b"next"))
+    error, *records = iter_raw_records(path)
+    assert isinstance(error, MalformedRecord) and error.offset == 0
+    assert str(error).startswith("record block extends past end of file")
+    assert [r.target_uri for r in records] == ["http://e.de/1"]
+
+
 # Byte strings that the reader searches for or that end its parsing early.
 _FRAGMENTS = st.sampled_from(
     [
@@ -192,7 +202,7 @@ def _outcomes(items):
     ]
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 16])
+@pytest.mark.parametrize("chunk", [2, 7, 64, 1 << 16])
 @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=_warc_files())
 def test_chunked_scan_matches_whole_file_scan(tmp_path, chunk, data):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import operator
 import os
 import re
 from contextlib import contextmanager
@@ -64,8 +65,8 @@ class SnapshotRecord:
     length: int
     http_status: int = 200
     media_type: str = "text/html"
-    # capture_time in seconds since epoch, parsed once: by from_line, or by
-    # the first capture_epoch(). Derived, so left out of ==, hash and order.
+    # capture_time in seconds since epoch, parsed once, by the first
+    # capture_epoch(). Derived, so left out of ==, hash and order.
     epoch: float | None = field(default=None, compare=False, repr=False)
 
     def capture_epoch(self) -> float:
@@ -93,8 +94,11 @@ class SnapshotRecord:
         url, ts = parts[0], parts[1]
         offset, length, status, media_type = parts[-4:]
         warc_file = " ".join(parts[2:-4])
-        epoch = parse_ts14(ts).timestamp()
-        return cls(url, ts, warc_file, int(offset), int(length), int(status), media_type, epoch)
+        return cls(url, ts, warc_file, int(offset), int(length), int(status), media_type)
+
+
+# The order of an index's lines, and of one URL's captures in a lookup.
+_CAPTURE_ORDER = operator.attrgetter("canonical_url", "capture_time", "warc_file", "offset")
 
 
 @dataclass
@@ -218,8 +222,7 @@ _Entry = str | list[str] | tuple[SnapshotRecord, ...]
 def _decode(entry: str | list[str]) -> tuple[SnapshotRecord, ...]:
     if isinstance(entry, str):
         return (SnapshotRecord.from_line(entry),)
-    records = map(SnapshotRecord.from_line, entry)
-    return tuple(sorted(records, key=lambda r: (r.capture_time, r.warc_file, r.offset)))
+    return tuple(sorted(map(SnapshotRecord.from_line, entry), key=_CAPTURE_ORDER))
 
 
 _HTML_TYPES = ("text/html", "application/xhtml")
@@ -236,7 +239,8 @@ def build_index(
 
     Indexes HTTP 200 HTML responses only. Malformed records are skipped
     and tallied, and every other record left out is tallied by its
-    reason; an unreadable file aborts the build.
+    reason; an unreadable file aborts the build. A path holding a line
+    break raises ValueError, since an index line could not hold it.
     """
     records: list[SnapshotRecord] = []
     skipped = 0
@@ -244,6 +248,8 @@ def build_index(
     for path in warc_paths:
         path = Path(path)
         resolved = str(path.resolve())
+        if "\n" in resolved or "\r" in resolved:
+            raise ValueError(f"WARC path holds a line break: {resolved!r}")
         for item in warc.iter_raw_records(path):
             if isinstance(item, warc.MalformedRecord):
                 logger.warning("skipping malformed record: %s", item)
@@ -255,7 +261,7 @@ def build_index(
             else:
                 records.append(record)
 
-    records.sort(key=lambda r: (r.canonical_url, r.capture_time, r.warc_file, r.offset))
+    records.sort(key=_CAPTURE_ORDER)
     with open_replacing(index_path) as handle:
         for record in records:
             handle.write(record.to_line() + "\n")

@@ -151,7 +151,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         print(f"warning: no WARC files found in {warc_dir}", file=sys.stderr)
     try:
         summary = build_index(warc_paths, args.index)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(

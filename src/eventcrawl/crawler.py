@@ -129,22 +129,16 @@ def select_snapshot(
 
     The earliest capture inside the event interval wins; if none falls
     inside, the capture closest to the interval does, earlier captures
-    breaking distance ties. ``snapshots`` must be non-empty and sorted
-    ascending by capture time.
+    breaking distance ties. Of captures at one time, the first listed
+    wins. ``snapshots`` must be non-empty.
     """
     start, end = scope.start_epoch, scope.end_epoch
-    best = None
-    best_key = None
-    for snapshot in snapshots:
+
+    def distance(snapshot: SnapshotRecord) -> float:
         t = snapshot.capture_epoch()
-        if start <= t <= end:
-            return snapshot  # ascending order: first inside is the earliest
-        distance = start - t if t < start else t - end
-        key = (distance, snapshot.capture_time)
-        if best_key is None or key < best_key:
-            best, best_key = snapshot, key
-    assert best is not None, "select_snapshot requires a non-empty snapshot list"
-    return best
+        return max(start - t, t - end, 0.0)
+
+    return min(snapshots, key=lambda s: (distance(s), s.capture_time))
 
 
 def extract_outlinks(document: ArchivedDocument) -> list[str]:
@@ -183,7 +177,12 @@ class CrawlResult:
         return [item.snapshot.canonical_url for item in self.collection]
 
     def accumulated_topical(self) -> float:
-        return sum(item.score.topical for item in self.collection)
+        # Left to right, as eval accumulates, the same on every Python: sum()
+        # of floats compensates from 3.12 on.
+        total = 0.0
+        for item in self.collection:
+            total += item.score.topical
+        return total
 
 
 class TopicalScorer:

@@ -145,8 +145,8 @@ def decode_html_bytes(body: bytes, declared_charset: str | None = None) -> str:
 
     Tries the charset declared in HTTP headers, then an in-page ``<meta
     charset>``, then UTF-8; undecodable bytes are replaced, never fatal.
-    A charset that is unknown or whose codec raises anyway (``undefined``,
-    ``idna``) is skipped.
+    A charset that is unknown, whose codec raises anyway (``undefined``,
+    ``idna``) or whose name holds a null character is skipped.
     """
     charsets = []
     if declared_charset:
@@ -157,7 +157,7 @@ def decode_html_bytes(body: bytes, declared_charset: str | None = None) -> str:
     for charset in charsets:
         try:
             return body.decode(charset, errors="replace")
-        except (LookupError, UnicodeError):
+        except (LookupError, ValueError):  # ValueError covers UnicodeError
             continue
     return body.decode("utf-8", errors="replace")
 
@@ -249,7 +249,9 @@ def scan_html(html: str) -> ScannedPage:
         try:
             scanner.feed(html[stop:])
             scanner.close()
-        except Exception:  # pragma: no cover - HTMLParser is lenient already
+        except Exception:
+            # HTMLParser raises on some markup, e.g. AssertionError on an unknown
+            # marked section (<![foo[); the page keeps what came before it.
             pass
     return scanner.finish()
 

@@ -109,10 +109,6 @@ def topical_relevance(doc_vector: TermVector, reference: TermVector) -> float:
 
 def combined_relevance(topical: float, temporal: float, alpha: float) -> float:
     """Linear trade-off: alpha=1 is purely topical, alpha=0 purely temporal."""
-    if alpha == 1.0:
-        return topical
-    if alpha == 0.0:
-        return temporal
     return alpha * topical + (1.0 - alpha) * temporal
 
 

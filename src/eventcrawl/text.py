@@ -188,7 +188,11 @@ class TermVector:
     norm: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "norm", math.sqrt(sum(w * w for w in self.weights.values())))
+        # Left to right, the same on every Python: sum() of floats compensates from 3.12 on.
+        squares = 0.0
+        for weight in self.weights.values():
+            squares += weight * weight
+        object.__setattr__(self, "norm", math.sqrt(squares))
 
     def scaled(self, factor: float) -> "TermVector":
         return TermVector({t: w * factor for t, w in self.weights.items()})
@@ -219,8 +223,6 @@ class KeywordBoost:
             raise ValueError("boost weights must satisfy full >= partial >= none > 0")
 
     def factor_for(self, term: str, keyword_tokens: frozenset[str]) -> float:
-        if not keyword_tokens:
-            return self.no_overlap_weight
         parts = term.split(" ")
         matched = sum(1 for part in parts if part in keyword_tokens)
         if matched == len(parts):

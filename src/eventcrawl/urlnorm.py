@@ -1,11 +1,12 @@
 """URL canonicalization for index keys and crawl seen-set identity.
 
-Canonical form: lowercase scheme/host, no fragment, no default port,
-query string preserved verbatim (parameter order kept to avoid aliasing
-distinct archived resources), percent-escapes of unreserved characters
-decoded, and the space and every unprintable character percent-encoded
-as UTF-8, so that a canonical URL is one space-free line of text. Only
-http/https URLs are considered crawlable.
+Canonical form: lowercase scheme/host (an IP-literal host keeps its
+brackets), no fragment, no default port, query string preserved verbatim
+(parameter order kept to avoid aliasing distinct archived resources),
+percent-escapes of unreserved characters decoded, and the space and
+every unprintable character percent-encoded as UTF-8, so that a
+canonical URL is one space-free line of text. Only http/https URLs are
+considered crawlable.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ def canonicalize_url(url: str, base: str | None = None) -> str:
     """Resolve ``url`` (optionally against ``base``) into canonical form.
 
     Raises :class:`CanonicalizationError` for empty or unparseable input,
-    for relative references without a base, for non-http(s) schemes, and
-    for hosts with a space or an unprintable character.
+    for relative references without a base, for non-http(s) schemes, for
+    hosts with a space or an unprintable character, and for a path or
+    query that UTF-8 cannot encode (a lone surrogate).
     """
     if not url or not url.strip():
         raise CanonicalizationError("empty URL")
@@ -80,12 +82,17 @@ def canonicalize_url(url: str, base: str | None = None) -> str:
         port = parts.port
     except ValueError as exc:
         raise CanonicalizationError(f"invalid port in URL: {url!r}") from exc
+    if parts.netloc.rpartition("@")[2].startswith("["):  # an IP literal keeps its brackets
+        host = f"[{host}]"
     netloc = host
     if port is not None and port != _DEFAULT_PORTS[scheme]:
         netloc = f"{host}:{port}"
 
-    path = _encode_unsafe(_decode_unreserved(parts.path)) or "/"
-    query = _encode_unsafe(_decode_unreserved(parts.query))
+    try:
+        path = _encode_unsafe(_decode_unreserved(parts.path)) or "/"
+        query = _encode_unsafe(_decode_unreserved(parts.query))
+    except UnicodeEncodeError as exc:
+        raise CanonicalizationError(f"character UTF-8 cannot encode in URL: {url!r}") from exc
 
     # Fragment dropped: it never reaches the server, so snapshots are
     # keyed without it.

@@ -82,18 +82,25 @@ class TestBuildIndex:
                 ["2011-03-09T10:00:00Z", "2011-03-02T10:00:00Z", "2011-03-05T10:00:00Z"]
             )
         ]
-        path = write_warc(tmp_path / "a.warc.gz", pages)
-        build_index([path], tmp_path / "index.cdx")
+        # The second file holds the earliest capture: time orders captures before file.
+        paths = [
+            write_warc(tmp_path / "a.warc.gz", pages),
+            write_warc(tmp_path / "b.warc.gz", [{**pages[0], "date_iso": "2011-03-01T10:00:00Z"}]),
+        ]
+        build_index(paths, tmp_path / "index.cdx")
         index = ArchiveIndex.open(tmp_path / "index.cdx")
 
         expected = sorted(
             r["date"].replace("-", "").replace(":", "").replace("T", "").rstrip("Z")
+            for path in paths
             for r in reference_scan(path)
             if r["status"] == 200
         )
         snapshots = index.resolve_snapshots("http://e.de/x")
         assert [s.capture_time for s in snapshots] == expected
-        assert index.url_count == 1 and index.record_count == 3
+        lines = (tmp_path / "index.cdx").read_text(encoding="utf-8").splitlines()
+        assert [line.split(" ")[1] for line in lines] == expected
+        assert index.url_count == 1 and index.record_count == 4
 
     def test_malformed_record_skipped_and_tallied(self, tmp_path):
         path = write_warc(tmp_path / "a.warc.gz", [{"url": "http://e.de/1", "body": "ok"}])
@@ -144,10 +151,9 @@ class TestBuildIndex:
         index = ArchiveIndex.open(tmp_path / "index.cdx")
         opened = [snapshot for url in index.urls() for snapshot in index.resolve_snapshots(url)]
         assert sorted(built) == sorted(opened)
-        for record in opened:  # filled by the open's one parse, in whole seconds
-            assert record.epoch == to_epoch(parse_ts14(record.capture_time))
-        for record in built + opened:
-            assert record.capture_epoch() == to_epoch(parse_ts14(record.capture_time))
+        assert [record.epoch for record in opened] == [None, None]  # a lookup parses no ts14
+        for record in built + opened:  # the first capture_epoch() fills it, in whole seconds
+            assert record.capture_epoch() == record.epoch == to_epoch(parse_ts14(record.capture_time))
 
     def test_canonicalizes_only_the_records_it_indexes(self, tmp_path, monkeypatch):
         calls = []
@@ -191,6 +197,19 @@ class TestBuildIndex:
             build_index([path], tmp_path / "index.cdx")
         assert (tmp_path / "index.cdx").read_bytes() == before
         assert sorted(tmp_path.iterdir()) == listing
+
+    @pytest.mark.parametrize("name", ["a\nb.warc", "a\rb.warc"])
+    def test_path_with_a_line_break_is_refused_before_any_write(self, tmp_path, name):
+        good = write_warc(tmp_path / "good.warc.gz", [{"url": "http://e.de/1", "body": "x"}])
+        build_index([good], tmp_path / "index.cdx")
+        before = (tmp_path / "index.cdx").read_bytes()
+        listing = sorted(tmp_path.iterdir())
+        bad = write_warc(tmp_path / name, [{"url": "http://e.de/2", "body": "x"}])
+        with pytest.raises(ValueError, match="line break") as refused:
+            build_index([good, bad], tmp_path / "index.cdx")
+        assert repr(str(bad.resolve())) in str(refused.value)
+        assert (tmp_path / "index.cdx").read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == sorted(listing + [bad])
 
 
 class TestIndexLines:

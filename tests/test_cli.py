@@ -90,6 +90,13 @@ class TestIndexCommand:
         )
         assert code == 2
 
+    def test_warc_path_with_a_line_break_is_usage_error(self, archive_dir, tmp_path, capsys):
+        write_warc(archive_dir / "a\nb.warc", [{"url": "http://e.de/2", "body": "x"}])
+        code = main(["index", "--warc-dir", str(archive_dir), "--index", str(tmp_path / "i.cdx")])
+        assert code == 2
+        assert "line break" in capsys.readouterr().err
+        assert not (tmp_path / "i.cdx").exists()
+
 
 class TestCrawlCommand:
     def test_happy_path_writes_artifacts(self, archive_dir, spec_path, tmp_path, capsys):
@@ -440,6 +447,23 @@ class TestGenAndEval:
             )
 
         assert run_once("e1") == run_once("e2")
+
+    def test_crawl_summary_matches_the_final_eval_checkpoint(self, tmp_path):
+        out = tmp_path / "gen"
+        # 100 scores, enough for a compensated sum to differ from eval's running one.
+        main(["gen", "--out", str(out), "--seed", "11", "--pages", "300", "--target-size", "100"])
+        index_path = tmp_path / "i.cdx"
+        main(["index", "--warc-dir", str(out), "--index", str(index_path)])
+        inputs = ["--spec", str(out / "spec.json"), "--index", str(index_path)]
+        crawl_dir, eval_dir = tmp_path / "crawl", tmp_path / "eval"
+        assert main(["crawl", *inputs, "--strategy", "ct-f", "--out", str(crawl_dir)]) == 0
+        assert main(["eval", *inputs, "--strategy", "ct-f", "--checkpoint", "7", "--out", str(eval_dir)]) == 0
+        with open(crawl_dir / "run_summary.csv", newline="") as handle:
+            (summary,) = csv.DictReader(handle)
+        with open(eval_dir / "accumulated_relevance.csv", newline="") as handle:
+            final = list(csv.DictReader(handle))[-1]
+        assert final["strategy"] == "ct-f" and final["documents_downloaded"] == summary["fetched"]
+        assert summary["accumulated_relevance"] == final["accumulated_relevance"]
 
 
 # SHA-256 of every output of one fixed gen -> index -> crawl -> eval run.

@@ -83,6 +83,29 @@ class TestSelectSnapshot:
             assert select_snapshot(snaps, event_scope) == select_snapshot_oracle(
                 snaps, event_scope
             )
+            rng.shuffle(snaps)  # list order only breaks ties at one time
+            assert select_snapshot(snaps, event_scope) == select_snapshot_oracle(
+                snaps, event_scope
+            )
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            ["20110305000000", "20110305000000"],  # inside, at one time
+            ["20110301000000", "20110301000000", "20110310000000"],  # inside, at the start
+            ["20110220000000", "20110220000000", "20110320000000"],  # before, at one time
+            ["20110210000000", "20110320000000", "20110320000000"],  # after, at one time
+            ["20110222000000", "20110222000000", "20110321000000"],  # before and after, one distance
+        ],
+    )
+    def test_captures_at_one_time_in_two_warcs_keep_list_order(self, event_scope, times):
+        snaps = [
+            SnapshotRecord("http://e.de/x", ts14, f"{i % 2}.warc", 0, 1)
+            for i, ts14 in enumerate(times)
+        ]
+        chosen = select_snapshot(snaps, event_scope)
+        assert chosen is select_snapshot_oracle(snaps, event_scope)
+        assert chosen is snaps[[s.capture_time for s in snaps].index(chosen.capture_time)]
 
     def test_parses_no_timestamp_after_the_open(self, tmp_path, event_scope, monkeypatch):
         from eventcrawl import archive
@@ -273,6 +296,31 @@ class TestRunCrawl:
     def test_unparseable_outlink_is_dropped(self, tmp_path, event_scope, bad_href):
         pages = [
             {"url": "http://e.de/seed", "body": page_html("alpha", [bad_href, "/r1"])},
+            {"url": "http://e.de/r1", "body": page_html("beta")},
+        ]
+        write_warc(tmp_path / "a.warc.gz", pages)
+        build_index([tmp_path / "a.warc.gz"], tmp_path / "index.cdx")
+        index = ArchiveIndex.open(tmp_path / "index.cdx")
+        spec = make_spec(["http://e.de/seed"], event_scope)
+        result = run_crawl(spec, index, CrawlStrategy.COMBINED, idf=IDF)
+        assert result.fetched_urls == ["http://e.de/seed", "http://e.de/r1"]
+        assert result.missing == set()
+
+    @pytest.mark.parametrize(
+        "charset, body",
+        [
+            # bytes.decode raises ValueError for a codec name holding a null.
+            ("a\x00b", page_html("alpha", ["/r1"])),
+            # unicode_escape turns the href into a lone surrogate, which UTF-8 cannot encode.
+            ("unicode_escape", b'<a href="/x\\udcff">x</a><a href="/r1">go</a>'),
+        ],
+        ids=["null-in-charset", "surrogate-in-href"],
+    )
+    def test_page_bytes_that_break_a_codec_do_not_abort_the_crawl(
+        self, tmp_path, event_scope, charset, body
+    ):
+        pages = [
+            {"url": "http://e.de/seed", "body": body, "media_type": f"text/html; charset={charset}"},
             {"url": "http://e.de/r1", "body": page_html("beta")},
         ]
         write_warc(tmp_path / "a.warc.gz", pages)

@@ -77,6 +77,11 @@ class TestScanHtml:
     def test_empty_document(self):
         assert scan_html("") == ScannedPage()
 
+    def test_markup_the_parser_raises_on_keeps_the_text_before_it(self):
+        # HTMLParser raises AssertionError on an unknown marked section.
+        page = scan_html("<p>a<![foo[ b ]]>c")
+        assert page.text.split()[0] == "a"
+
 
 class TestDecodeHtmlBytes:
     def test_meta_charset_whose_codec_raises_falls_back_to_utf8(self):
@@ -89,6 +94,10 @@ class TestDecodeHtmlBytes:
 
     def test_unknown_header_charset_falls_back_to_utf8(self):
         assert decode_html_bytes("<p>é</p>".encode("utf-8"), "no-such-codec") == "<p>é</p>"
+
+    def test_header_charset_holding_a_null_falls_back_to_utf8(self):
+        # bytes.decode raises ValueError, not LookupError, for this name.
+        assert decode_html_bytes("<p>é</p>".encode("utf-8"), "a\x00b") == "<p>é</p>"
 
 
 def parser_scan(html: str) -> ScannedPage:
@@ -278,7 +287,7 @@ _BASES = st.sampled_from(
 _BASE_HREFS = st.one_of(st.none(), _BASES, st.sampled_from(["../", "/b/", "sub/", "//o.test/", "#f"]))
 _HREF_PARTS = st.sampled_from(
     ["a", "b", "/", "/", ".", "..", "%41", "%2F", "%", "?", "#", "\\", "[", "]", ":", "@", ";"]
-    + [" ", "\t", "\n", "\xa0", "é", "\u2028", "~", "!", "'", "(", "=", "&", "+", "-", "_"]
+    + [" ", "\t", "\n", "\xa0", "é", "\u2028", "\udcff", "~", "!", "'", "(", "=", "&", "+", "-", "_"]
     + ["http://o.test", "//o.test", "mailto:", "HTTP://E.TEST:80"]
 )
 _HREFS = st.one_of(

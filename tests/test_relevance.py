@@ -123,17 +123,21 @@ class TestTopicalRelevance:
         assert 0.0 <= value <= 1.0
 
 
+# Scores as topical_relevance and temporal_relevance return them.
+_SCORES = st.floats(min_value=0.0, max_value=1.0)
+
+
 class TestCombinedRelevance:
     def test_both_maximal(self):
         assert combined_relevance(1.0, 1.0, 0.5) == 1.0
 
-    def test_alpha_one_is_purely_topical(self):
-        for temporal in (0.0, 0.3, 1.0):
-            assert combined_relevance(0.77, temporal, 1.0) == 0.77
+    @given(topical=_SCORES, temporal=_SCORES)
+    def test_alpha_one_is_purely_topical(self, topical, temporal):
+        assert combined_relevance(topical, temporal, 1.0) == topical
 
-    def test_alpha_zero_is_purely_temporal(self):
-        for topical in (0.0, 0.3, 1.0):
-            assert combined_relevance(topical, 0.41, 0.0) == 0.41
+    @given(topical=_SCORES, temporal=_SCORES)
+    def test_alpha_zero_is_purely_temporal(self, topical, temporal):
+        assert combined_relevance(topical, temporal, 0.0) == temporal
 
     def test_stated_formula(self):
         assert combined_relevance(0.8, 0.4, 0.5) == pytest.approx(0.6)

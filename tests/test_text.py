@@ -9,6 +9,7 @@ from eventcrawl.stem import porter_stem
 from eventcrawl.text import (
     IdfDictionary,
     KeywordBoost,
+    TermVector,
     analyze,
     boost_vector,
     build_idf_dictionary,
@@ -130,6 +131,12 @@ class TestVectorize:
         vector = vectorize(["a", "b", "a"], idf)
         recomputed = math.sqrt(sum(w * w for w in vector.weights.values()))
         assert vector.norm == pytest.approx(recomputed, rel=1e-9)
+
+    def test_norm_sums_the_squares_left_to_right(self):
+        # Each 2**-54 square is lost against 1.0 in turn; a compensated
+        # sum (sum() from Python 3.12 on) would keep their 2000 * 2**-54.
+        weights = {"a": 1.0, **{f"t{i}": 2.0**-27 for i in range(2000)}}
+        assert TermVector(weights).norm == 1.0
 
     @given(st.lists(st.sampled_from("abcde"), max_size=30))
     def test_bigram_count_property(self, tokens):

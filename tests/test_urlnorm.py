@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from eventcrawl.urlnorm import CanonicalizationError, canonicalize_url
 
@@ -58,6 +58,12 @@ def test_unprintable_host_rejected():
         canonicalize_url("http://a\u2028b.test/")
 
 
+@pytest.mark.parametrize("url", ["http://[::1]/a", "http://[2001:db8::a]:8080/a"])
+def test_ip_literal_host_keeps_its_brackets(url):
+    assert canonicalize_url(url) == url
+    assert canonicalize_url("b", url) == url.removesuffix("a") + "b"
+
+
 _URL_CHARS = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJ0123456789-._~%/?=&:# \x0b\u2028",
     min_size=0,
@@ -65,7 +71,17 @@ _URL_CHARS = st.text(
 )
 
 
-@given(host=st.from_regex(r"[a-z][a-z0-9]{0,10}\.[a-z]{2,3}", fullmatch=True), rest=_URL_CHARS)
+_IP_LITERALS = st.sampled_from(
+    ["[::1]", "[::1]:8080", "[2001:DB8::A]:80", "[2001:db8::a]:443", "[fe80::1%25eth0]"]
+)
+
+
+@given(
+    host=st.one_of(st.from_regex(r"[a-z][a-z0-9]{0,10}\.[a-z]{2,3}", fullmatch=True), _IP_LITERALS),
+    rest=_URL_CHARS,
+)
+@example(host="[::1]", rest="a")
+@example(host="[::1]:8080", rest="a")
 def test_canonicalize_is_idempotent(host, rest):
     try:
         once = canonicalize_url(f"http://{host}/{rest}")

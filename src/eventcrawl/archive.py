@@ -103,7 +103,7 @@ _CAPTURE_ORDER = operator.attrgetter("canonical_url", "capture_time", "warc_file
 
 @dataclass
 class ArchivedDocument:
-    """A fetched snapshot: HTTP headers plus the byte-exact payload."""
+    """A fetched snapshot: HTTP headers plus the payload with its codings undone."""
 
     snapshot: SnapshotRecord
     headers: list[tuple[str, str]]
@@ -311,14 +311,18 @@ def _index_record(record: warc.RawRecord, warc_file: str) -> SnapshotRecord | st
 
 
 def fetch_document(index: ArchiveIndex, snapshot: SnapshotRecord) -> ArchivedDocument:
-    """Read the snapshot's record and return headers plus exact payload.
+    """Read the snapshot's record and return its headers and decoded payload.
 
-    Raises :class:`warc.MalformedRecord` (with file and offset) if the
-    stored record is truncated or corrupt.
+    The body is the payload with its chunked framing and its ``gzip``,
+    ``x-gzip`` or ``deflate`` content codings undone
+    (:func:`warc.decode_payload`). Raises :class:`warc.MalformedRecord`
+    if the stored record is truncated or corrupt, or its payload uses
+    any other coding or cannot be decoded.
     """
     record = warc.read_record_span(snapshot.warc_file, snapshot.offset, snapshot.length)
     _status, headers, payload = warc.parse_http_response(record.block)
-    return ArchivedDocument(snapshot=snapshot, headers=headers, body=payload)
+    body = warc.decode_payload(headers, payload)
+    return ArchivedDocument(snapshot=snapshot, headers=headers, body=body)
 
 
 @dataclass(frozen=True)

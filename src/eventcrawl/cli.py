@@ -4,8 +4,10 @@ Subcommands: ``index`` (build the URL lookup index from WARC files),
 ``crawl`` (run one focused extraction), ``eval`` (compare strategies),
 ``validate`` (check a spec file), ``gen`` (create a synthetic archive).
 
-Exit codes: 0 success, 1 validation failure, 2 usage error, 3 partial
-failure. All outputs are deterministic given identical inputs and seeds.
+Exit codes: 0 success, 1 validation failure, 2 usage error or a file that
+cannot be read or written, 3 partial failure. An error ends a command
+with one line on stderr, never a traceback. All outputs are
+deterministic given identical inputs and seeds.
 """
 
 from __future__ import annotations
@@ -38,12 +40,18 @@ from .spec import (
 from .text import load_idf_dictionary
 from .timeutil import parse_duration, parse_iso8601
 
-logger = logging.getLogger("eventcrawl")
-
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_PARTIAL = 3
+
+
+class _Exit(Exception):
+    """Ends a command: ``main`` prints the message to stderr and returns ``code``."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -57,6 +65,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except BrokenPipeError:  # downstream closed the pipe; not our error
         return EXIT_OK
+    except _Exit as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -144,16 +158,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_index(args: argparse.Namespace) -> int:
     warc_dir = Path(args.warc_dir)
     if not warc_dir.is_dir():
-        print(f"error: not a directory: {warc_dir}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"error: not a directory: {warc_dir}")
     warc_paths = sorted(p for p in warc_dir.iterdir() if p.suffix in (".warc", ".gz"))
     if not warc_paths:
         print(f"warning: no WARC files found in {warc_dir}", file=sys.stderr)
     try:
         summary = build_index(warc_paths, args.index)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:
+        raise _Exit(EXIT_USAGE, f"error: {exc}") from exc
     print(
         f"indexed {summary.record_count} records for {summary.url_count} URLs "
         f"({summary.skipped} skipped) -> {args.index}"
@@ -164,12 +176,11 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def _load_inputs(args: argparse.Namespace):
-    """The ``(spec, index, idf)`` of a crawl or eval, or the exit code of an error."""
+    """The ``(spec, index, idf)`` of a crawl or eval."""
     try:
         spec = parse_spec_file(args.spec)
     except (SpecParseError, SpecValidationError, OSError) as exc:
-        print(f"error: invalid spec: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _Exit(EXIT_VALIDATION, f"error: invalid spec: {exc}") from exc
     if args.half_life_gamma:
         # exp(-dt / (gamma / ln 2)) is 0.5 at dt == gamma, where exp(-dt / gamma) is 1/e.
         ln2 = math.log(2.0)
@@ -182,13 +193,11 @@ def _load_inputs(args: argparse.Namespace):
     try:
         index = ArchiveIndex.open(args.index)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot open index: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"error: cannot open index: {exc}") from exc
     try:
         idf = load_idf_dictionary(args.idf) if args.idf else None
     except (OSError, ValueError) as exc:
-        print(f"error: cannot load IDF dictionary: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"error: cannot load IDF dictionary: {exc}") from exc
     return spec, index, idf
 
 
@@ -196,18 +205,13 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     try:
         strategy = CrawlStrategy.from_name(args.strategy)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    inputs = _load_inputs(args)
-    if isinstance(inputs, int):
-        return inputs
-    spec, index, idf = inputs
+        raise _Exit(EXIT_USAGE, f"error: {exc}") from exc
+    spec, index, idf = _load_inputs(args)
     # Resolves the reference documents, so a bad one stops the crawl before any write.
     try:
         analysis = SnapshotAnalysis(spec, index, idf=idf)
     except ValueError as exc:
-        print(f"error: invalid spec: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _Exit(EXIT_VALIDATION, f"error: invalid spec: {exc}") from exc
     result = run_crawl(spec, index, strategy, analysis=analysis)
 
     out_dir = Path(args.out)
@@ -231,8 +235,7 @@ def cmd_crawl(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.checkpoint < 1:
-        print("error: checkpoint must be positive", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, "error: checkpoint must be positive")
     if args.strategy.strip().lower() == "all":
         strategies = list(CrawlStrategy)
     else:
@@ -241,12 +244,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 CrawlStrategy.from_name(name) for name in args.strategy.split(",")
             ]
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    inputs = _load_inputs(args)
-    if isinstance(inputs, int):
-        return inputs
-    spec, index, idf = inputs
+            raise _Exit(EXIT_USAGE, f"error: {exc}") from exc
+    spec, index, idf = _load_inputs(args)
     report = run_comparison(spec, index, strategies, args.checkpoint, idf=idf)
     series_path, summary_path = write_report_csvs(report, args.out)
     failed = [run for run in report.runs if run.error]
@@ -264,8 +263,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     try:
         spec = parse_spec_file(args.spec)
     except (SpecParseError, SpecValidationError, OSError) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _Exit(EXIT_VALIDATION, f"invalid: {exc}") from exc
     print(f"spec {spec.name!r} is valid")
     return EXIT_OK
 
@@ -290,8 +288,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             separator_keyword=args.keyword,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"error: {exc}") from exc
 
     warc_paths, truth = generate_archive(config, args.out)
     spec = spec_for_ground_truth(

@@ -1,7 +1,8 @@
 """URL canonicalization for index keys and crawl seen-set identity.
 
 Canonical form: lowercase scheme/host (an IP-literal host keeps its
-brackets), no fragment, no default port, query string preserved verbatim
+brackets, which may hold only an IPv6 address or an IPvFuture), no
+fragment, no default port, query string preserved verbatim
 (parameter order kept to avoid aliasing distinct archived resources),
 percent-escapes of unreserved characters decoded, and the space and
 every unprintable character percent-encoded as UTF-8, so that a
@@ -11,6 +12,7 @@ considered crawlable.
 
 from __future__ import annotations
 
+import ipaddress
 import re
 from urllib.parse import quote, urljoin, urlsplit, urlunsplit
 
@@ -25,6 +27,10 @@ _UNRESERVED = set(
 _PCT_RE = re.compile(r"%([0-9A-Fa-f]{2})")
 
 _DEFAULT_PORTS = {"http": 80, "https": 443}
+
+# A host and port whose host is an IP literal, and an IPvFuture (RFC 3986 §3.2.2).
+_IP_LITERAL_RE = re.compile(r"\[([^\[\]]*)\](?::[^\[\]]*)?")
+_IPV_FUTURE_RE = re.compile(r"v[0-9A-Fa-f]+\..+")
 
 
 class CanonicalizationError(ValueError):
@@ -46,13 +52,31 @@ def _encode_unsafe(component: str) -> str:
     return "".join(c if c.isprintable() and c != " " else quote(c) for c in component)
 
 
+def _check_ip_literal(netloc: str, url: str) -> None:
+    """Accept a bracket only around an IPv6 address or an IPvFuture host.
+
+    ``urlsplit`` makes a check like this one only from Python 3.11.4 on;
+    making it here gives every version the same answer.
+    """
+    userinfo, _, hostport = netloc.rpartition("@")
+    match = _IP_LITERAL_RE.fullmatch(hostport)
+    if match is None or "[" in userinfo or "]" in userinfo:
+        raise CanonicalizationError(f"bracket outside an IP-literal host: {url!r}")
+    if _IPV_FUTURE_RE.fullmatch(match.group(1)) is None:
+        try:
+            ipaddress.IPv6Address(match.group(1))
+        except ValueError:
+            raise CanonicalizationError(f"invalid IP-literal host: {url!r}") from None
+
+
 def canonicalize_url(url: str, base: str | None = None) -> str:
     """Resolve ``url`` (optionally against ``base``) into canonical form.
 
     Raises :class:`CanonicalizationError` for empty or unparseable input,
     for relative references without a base, for non-http(s) schemes, for
-    hosts with a space or an unprintable character, and for a path or
-    query that UTF-8 cannot encode (a lone surrogate).
+    hosts with a space or an unprintable character, for a path or
+    query that UTF-8 cannot encode (a lone surrogate), and for brackets
+    that do not hold an IPv6 address or an IPvFuture (``v1.x``) host.
     """
     if not url or not url.strip():
         raise CanonicalizationError("empty URL")
@@ -64,6 +88,11 @@ def canonicalize_url(url: str, base: str | None = None) -> str:
         parts = urlsplit(url)
     except ValueError as exc:
         raise CanonicalizationError(f"unparseable URL: {url!r}") from exc
+
+    # A "]" without a "[" is refused by urlsplit on every version.
+    ip_literal = "[" in parts.netloc
+    if ip_literal:
+        _check_ip_literal(parts.netloc, url)
 
     scheme = parts.scheme.lower()
     if not scheme:
@@ -82,7 +111,7 @@ def canonicalize_url(url: str, base: str | None = None) -> str:
         port = parts.port
     except ValueError as exc:
         raise CanonicalizationError(f"invalid port in URL: {url!r}") from exc
-    if parts.netloc.rpartition("@")[2].startswith("["):  # an IP literal keeps its brackets
+    if ip_literal:  # an IP literal keeps its brackets
         host = f"[{host}]"
     netloc = host
     if port is not None and port != _DEFAULT_PORTS[scheme]:

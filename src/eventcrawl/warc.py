@@ -5,12 +5,14 @@ point back at them, and writes deterministic records (fixed header
 order, explicit record IDs and dates, gzip members with zero mtime).
 Compression is detected per record, so files mixing plain and gzipped
 members still read correctly. A scan reads each file through the
-file's own ``_CHUNK``-byte buffer.
+file's own ``_CHUNK``-byte buffer. ``decode_payload`` undoes the
+transfer and content codings of an HTTP payload.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +23,7 @@ __all__ = [
     "RawRecord",
     "WarcWriter",
     "build_response_record",
+    "decode_payload",
     "find_header",
     "gzip_member",
     "iter_raw_records",
@@ -253,10 +256,10 @@ def parse_http_response(block: bytes) -> tuple[int, list[tuple[str, str]], bytes
         sep_len = 2
     if head_end < 0:
         raise MalformedRecord("HTTP response head never terminates")
-    head = block[:head_end].decode("iso-8859-1")
-    lines = head.splitlines()
-    if not lines or not lines[0].startswith("HTTP/"):
-        raise MalformedRecord(f"not an HTTP response: {lines[0][:40]!r}" if lines else "empty block")
+    # A line ends only at CRLF or a bare LF (RFC 9112 §2.2); strip() drops the CR.
+    lines = block[:head_end].decode("iso-8859-1").split("\n")
+    if not lines[0].startswith("HTTP/"):
+        raise MalformedRecord(f"not an HTTP response: {lines[0][:40]!r}")
     parts = lines[0].split(None, 2)
     try:
         status = int(parts[1])
@@ -268,6 +271,82 @@ def parse_http_response(block: bytes) -> tuple[int, list[tuple[str, str]], bytes
         if sep:
             headers.append((name.strip(), value.strip()))
     return status, headers, block[head_end + sep_len :]
+
+
+def decode_payload(headers: list[tuple[str, str]], payload: bytes) -> bytes:
+    """The payload with its transfer and content codings undone, last-applied first.
+
+    Removes ``chunked`` framing (RFC 9112 §7.1), then inflates each
+    ``gzip``, ``x-gzip`` or ``deflate`` content coding (zlib-wrapped or
+    raw); ``identity`` is no coding. Raises :class:`MalformedRecord` for
+    any other coding and for broken framing or compressed data.
+    """
+    for coding in reversed(_codings(headers, "transfer-encoding")):
+        if coding != "chunked":
+            raise MalformedRecord(f"unsupported transfer coding: {coding!r}")
+        payload = _unchunk(payload)
+    for coding in reversed(_codings(headers, "content-encoding")):
+        if coding in ("gzip", "x-gzip"):
+            payload = _inflate(payload, 16 + zlib.MAX_WBITS)
+        elif coding == "deflate":
+            try:
+                payload = _inflate(payload, zlib.MAX_WBITS)
+            except MalformedRecord:
+                payload = _inflate(payload, -zlib.MAX_WBITS)
+        else:
+            raise MalformedRecord(f"unsupported content coding: {coding!r}")
+    return payload
+
+
+def _codings(headers: list[tuple[str, str]], name: str) -> list[str]:
+    """The codings every ``name`` header lists, in order applied, ``identity`` left out."""
+    return [
+        coding
+        for key, value in headers
+        if key.lower() == name
+        for coding in (part.strip().lower() for part in value.split(","))
+        if coding and coding != "identity"
+    ]
+
+
+# A chunk-size line, and the trailer's field lines up to the empty line
+# that ends a chunked body. Each line ends in CRLF or a bare LF (RFC 9112 §2.2).
+_CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]+)[ \t]*(?:;[^\r\n]*)?\r?\n")
+_TRAILER = re.compile(rb"(?:[^\r\n]+\r?\n)*\r?\n")
+
+
+def _unchunk(data: bytes) -> bytes:
+    """The data of a chunked body: its chunks, without sizes, extensions or trailer."""
+    parts = []
+    pos = 0
+    while True:
+        size_line = _CHUNK_SIZE.match(data, pos)
+        if size_line is None:
+            raise MalformedRecord("bad chunk size line")
+        size = int(size_line.group(1), 16)
+        pos = size_line.end()
+        if size == 0:
+            break
+        # Only CRLF ends chunk data, so a size one byte too large is not read as LF.
+        if data[pos + size : pos + size + 2] != _CRLF:
+            raise MalformedRecord("chunk data does not end in CRLF")
+        parts.append(data[pos : pos + size])
+        pos += size + 2
+    if _TRAILER.fullmatch(data, pos) is None:
+        raise MalformedRecord("chunked body does not end in a trailer and an empty line")
+    return b"".join(parts)
+
+
+def _inflate(data: bytes, wbits: int) -> bytes:
+    """One whole zlib, gzip or raw deflate stream, as ``wbits`` says; later bytes are ignored."""
+    decomp = zlib.decompressobj(wbits)
+    try:
+        inflated = decomp.decompress(data)
+    except zlib.error as exc:
+        raise MalformedRecord(f"bad compressed payload: {exc}") from exc
+    if not decomp.eof:
+        raise MalformedRecord("truncated compressed payload")
+    return inflated
 
 
 def build_response_record(

@@ -41,23 +41,44 @@ def write_warc(
     """Write a WARC of response records from simple page dicts.
 
     Each page dict: url, body (str or bytes), and optional date_iso,
-    status, media_type.
+    status, media_type. A page with ``http_headers`` (a list of raw
+    header lines) gets a 200 response whose head holds exactly those
+    lines, and its body is stored as given, coded or not.
     """
     with WarcWriter(path, compress=compress) as writer:
         for i, page in enumerate(pages):
             body = page["body"]
             if isinstance(body, str):
                 body = body.encode("utf-8")
-            record = build_response_record(
-                page["url"],
-                page.get("date_iso", "2011-03-05T12:00:00Z"),
-                body,
-                record_id=f"urn:uuid:00000000-0000-0000-0000-{i:012d}",
-                http_status=page.get("status", 200),
-                media_type=page.get("media_type", "text/html"),
-            )
+            record_id = f"urn:uuid:00000000-0000-0000-0000-{i:012d}"
+            date_iso = page.get("date_iso", "2011-03-05T12:00:00Z")
+            if "http_headers" in page:
+                record = _raw_response(page["url"], date_iso, page["http_headers"], body, record_id)
+            else:
+                record = build_response_record(
+                    page["url"],
+                    date_iso,
+                    body,
+                    record_id=record_id,
+                    http_status=page.get("status", 200),
+                    media_type=page.get("media_type", "text/html"),
+                )
             writer.write_record_bytes(record)
     return path
+
+
+def _raw_response(
+    url: str, date_iso: str, http_headers: list[bytes], body: bytes, record_id: str
+) -> bytes:
+    block = b"HTTP/1.1 200 OK\r\n" + b"".join(line + b"\r\n" for line in http_headers)
+    block += b"\r\n" + body
+    warc_head = (
+        f"WARC/1.0\r\nWARC-Type: response\r\nWARC-Record-ID: <{record_id}>\r\n"
+        f"WARC-Date: {date_iso}\r\nWARC-Target-URI: {url}\r\n"
+        f"Content-Type: application/http; msgtype=response\r\n"
+        f"Content-Length: {len(block)}\r\n\r\n"
+    ).encode("ascii")
+    return warc_head + block + b"\r\n\r\n"
 
 
 def page_html(text: str = "", links: list[str] = (), meta: dict | None = None) -> str:

@@ -3,6 +3,7 @@ import hashlib
 import sys
 import threading
 import time
+import zlib
 from datetime import datetime
 from pathlib import Path
 
@@ -511,6 +512,164 @@ class TestFetchDocument:
         )
         with pytest.raises(MalformedRecord):
             fetch_document(index, broken)
+
+
+# One page, and how a crawler may have stored it.
+PAGE = (
+    b"<html><body><h1>Flood</h1><p>The flood reached the old town.</p>"
+    b'<a href="/next">next</a></body></html>'
+)
+HTML = b"Content-Type: text/html; charset=utf-8"
+
+
+def _gzip(data):
+    return gzip.compress(data, mtime=0)
+
+
+def _deflate(data, wbits):
+    comp = zlib.compressobj(6, zlib.DEFLATED, wbits)
+    return comp.compress(data) + comp.flush()
+
+
+def _chunked(pieces, ext=b"", trailer=b"", eol=b"\r\n"):
+    """``pieces`` as a chunked body: each a sized chunk, then the last chunk and trailer.
+
+    ``eol`` ends the size lines and the trailer; chunk data always ends in CRLF.
+    """
+    body = b"".join(b"%x%s%s%s\r\n" % (len(piece), ext, eol, piece) for piece in pieces)
+    return body + b"0" + ext + eol + trailer + eol
+
+
+def _pieces(data, size):
+    return [data[i : i + size] for i in range(0, len(data), size)]
+
+
+def _fetch_stored(tmp_path, http_headers, body):
+    """The document of a one-page archive whose record holds ``http_headers`` and ``body``."""
+    page = {"url": "http://a.test/flood", "http_headers": http_headers, "body": body}
+    path = write_warc(tmp_path / "coded.warc.gz", [page])
+    summary = build_index([path], tmp_path / "index.cdx")
+    assert summary.record_count == 1
+    index = ArchiveIndex.open(tmp_path / "index.cdx")
+    return fetch_document(index, index.resolve_snapshots("http://a.test/flood")[0])
+
+
+class TestPayloadCodings:
+    @pytest.mark.parametrize(
+        "http_headers, body",
+        [
+            ([], PAGE),
+            ([b"Content-Encoding: identity"], PAGE),
+            ([b"Content-Encoding: gzip"], _gzip(PAGE)),
+            ([b"Content-Encoding: X-Gzip"], _gzip(PAGE)),
+            ([b"Content-Encoding: deflate"], _deflate(PAGE, zlib.MAX_WBITS)),
+            ([b"Content-Encoding: deflate"], _deflate(PAGE, -zlib.MAX_WBITS)),
+            ([b"Content-Encoding: gzip, deflate"], _deflate(_gzip(PAGE), zlib.MAX_WBITS)),
+            ([b"Content-Encoding: gzip", b"Content-Encoding: deflate"],
+             _deflate(_gzip(PAGE), -zlib.MAX_WBITS)),
+            # 20-byte chunks: a boundary falls inside the <a> tag.
+            ([b"Transfer-Encoding: chunked"], _chunked(_pieces(PAGE, 20))),
+            ([b"Transfer-Encoding: chunked"],
+             _chunked(_pieces(PAGE, 7), ext=b' ; name="v";x', trailer=b"Expires: 0\r\nX-T: 1\r\n")),
+            ([b"Transfer-Encoding: identity, Chunked"],
+             _chunked(_pieces(PAGE, 50), trailer=b"X-T: 1\n", eol=b"\n")),
+            ([b"Content-Encoding: gzip", b"Transfer-Encoding: chunked"],
+             _chunked(_pieces(_gzip(PAGE), 16))),
+        ],
+        ids=[
+            "plain", "identity", "gzip", "x-gzip", "deflate", "raw-deflate", "gzip-deflate",
+            "two-headers", "chunked", "chunk-extension-and-trailer", "chunked-bare-lf",
+            "chunked-gzip",
+        ],
+    )
+    def test_decoded_body_scans_like_the_plain_page(self, tmp_path, http_headers, body):
+        document = _fetch_stored(tmp_path, [HTML, *http_headers], body)
+        assert document.body == PAGE
+        assert document.scanned().text == "Flood The flood reached the old town. next"
+        assert document.outlinks == ("http://a.test/next",)
+
+    @pytest.mark.parametrize(
+        "http_headers, body",
+        [
+            ([b"Content-Encoding: br"], PAGE),
+            ([b"Content-Encoding: zstd"], PAGE),
+            ([b"Content-Encoding: compress"], PAGE),
+            ([b"Content-Encoding: gzip, rot13"], _gzip(PAGE)),
+            ([b"Transfer-Encoding: gzip"], _gzip(PAGE)),
+            ([b"Transfer-Encoding: chunked, gzip"], _gzip(_chunked([PAGE]))),
+            ([b"Content-Encoding: gzip"], PAGE),
+            ([b"Content-Encoding: gzip"], _gzip(PAGE)[:-9]),
+            ([b"Content-Encoding: deflate"], PAGE),
+            ([b"Transfer-Encoding: chunked"], PAGE),
+            ([b"Transfer-Encoding: chunked"], _chunked([PAGE])[:-2]),
+            ([b"Transfer-Encoding: chunked"], _chunked([PAGE]) + b"more"),
+            ([b"Transfer-Encoding: chunked"], _chunked([PAGE]).replace(PAGE, PAGE[:-1])),
+            ([b"Transfer-Encoding: chunked"], _chunked([PAGE], eol=b"\n").replace(b"\r", b"")),
+            ([b"Transfer-Encoding: chunked"], _chunked([PAGE]).replace(PAGE + b"\r\n", PAGE + b"--")),
+            ([b"Transfer-Encoding: chunked"], b"%x\r\n" % (len(PAGE) + 1) + PAGE),
+        ],
+        ids=[
+            "br", "zstd", "compress", "unknown", "gzip-transfer-coding", "chunked-not-last",
+            "gzip-not-gzipped", "gzip-truncated", "deflate-not-deflated", "no-chunk-size",
+            "no-trailer-end", "bytes-after-the-body", "short-chunk", "chunk-data-ends-in-lf",
+            "chunk-data-ends-in-other-bytes",
+            "truncated-chunk",
+        ],
+    )
+    def test_undecodable_body_is_a_malformed_record(self, tmp_path, http_headers, body):
+        with pytest.raises(MalformedRecord):
+            _fetch_stored(tmp_path, [HTML, *http_headers], body)
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        text=st.text(st.characters(blacklist_categories=("Cs",)), max_size=60),
+        links=st.lists(st.sampled_from(["/a", "b/c", "http://b.test/d?e=1"]), max_size=4),
+        cuts=st.lists(st.integers(min_value=1, max_value=40), max_size=30),
+    )
+    def test_chunked_gzipped_page_scans_like_the_plain_page(self, tmp_path, text, links, cuts):
+        page = page_html(text, links).encode("utf-8")
+        coded, pieces = _gzip(page), []
+        for cut in cuts:
+            piece, coded = coded[:cut], coded[cut:]
+            if piece:
+                pieces.append(piece)
+        if coded:
+            pieces.append(coded)
+        plain = _fetch_stored(tmp_path, [HTML], page)
+        decoded = _fetch_stored(
+            tmp_path,
+            [HTML, b"Content-Encoding: gzip", b"Transfer-Encoding: chunked"],
+            _chunked(pieces),
+        )
+        assert decoded.body == page
+        assert decoded.scanned() == plain.scanned()
+        assert decoded.outlinks == plain.outlinks
+
+    def test_header_lines_end_only_at_a_line_end(self, tmp_path):
+        pages = [
+            # The raw UTF-8 of Å is C3 85, and U+0085 is a line break to str.splitlines().
+            {
+                "url": "http://a.test/1",
+                "http_headers": ["X-Name: Å Content-Type: text/plain".encode(), HTML],
+                "body": PAGE,
+            },
+            {
+                "url": "http://a.test/2",
+                "http_headers": [HTML, b"X-Note: a\x0bContent-Encoding: br"],
+                "body": PAGE,
+            },
+        ]
+        path = write_warc(tmp_path / "a.warc.gz", pages)
+        summary = build_index([path], tmp_path / "index.cdx")
+        assert summary.record_count == 2
+        index = ArchiveIndex.open(tmp_path / "index.cdx")
+        for page in pages:
+            document = fetch_document(index, index.resolve_snapshots(page["url"])[0])
+            assert warc.find_header(document.headers, "Content-Type") == "text/html; charset=utf-8"
+            assert warc.find_header(document.headers, "Content-Encoding") is None
+            assert document.body == PAGE
 
 
 class TestWriteCollection:

@@ -83,7 +83,7 @@ def inputs(tmp_path):
 @pytest.mark.parametrize("records_before_failure", [0, 1, 15])
 @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
 def test_failed_crawl_rerun_leaves_every_previous_output(
-    inputs, tmp_path, monkeypatch, records_before_failure, error
+    inputs, tmp_path, monkeypatch, capsys, records_before_failure, error
 ):
     out = tmp_path / "run"
     assert main(["crawl", *inputs, "--strategy", "ct-f", "--out", str(out)]) == 0
@@ -102,8 +102,13 @@ def test_failed_crawl_rerun_leaves_every_previous_output(
     # A different strategy, so that a completed rerun would change every output.
     rerun = ["crawl", *inputs, "--strategy", "unfocused", "--out", str(out)]
     monkeypatch.setattr(warc.WarcWriter, "write_record_bytes", fail_after_n_records)
-    with pytest.raises(error):
-        main(rerun)
+    capsys.readouterr()
+    if error is OSError:
+        assert main(rerun) == 2
+        assert capsys.readouterr().err == "error: injected write failure\n"
+    else:
+        with pytest.raises(error):
+            main(rerun)
     assert len(written) == records_before_failure
     assert _files(out) == before
 
@@ -114,7 +119,7 @@ def test_failed_crawl_rerun_leaves_every_previous_output(
     assert all(after[name] != before[name] for name in CRAWL_OUTPUTS)
 
 
-def test_failed_eval_rerun_leaves_every_previous_output(inputs, tmp_path, monkeypatch):
+def test_failed_eval_rerun_leaves_every_previous_output(inputs, tmp_path, monkeypatch, capsys):
     out = tmp_path / "eval"
     assert main(["eval", *inputs, "--checkpoint", "10", "--out", str(out)]) == 0
     before = _files(out)
@@ -129,8 +134,9 @@ def test_failed_eval_rerun_leaves_every_previous_output(inputs, tmp_path, monkey
         return report
 
     monkeypatch.setattr(cli, "run_comparison", with_an_unwritable_last_row)
-    with pytest.raises(OSError, match="injected"):
-        main(["eval", *inputs, "--checkpoint", "7", "--out", str(out)])
+    capsys.readouterr()
+    assert main(["eval", *inputs, "--checkpoint", "7", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: injected write failure\n"
     assert _files(out) == before
 
 

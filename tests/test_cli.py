@@ -337,6 +337,48 @@ def test_unreadable_idf_is_usage_error(command, fault, archive_dir, spec_path, t
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["crawl", "eval", "gen"])
+def test_out_below_a_regular_file_is_one_error_line(
+    command, archive_dir, spec_path, tmp_path, capsys
+):
+    index_path = tmp_path / "i.cdx"
+    assert main(["index", "--warc-dir", str(archive_dir), "--index", str(index_path)]) == 0
+    afile = tmp_path / "afile"
+    afile.write_text("x", encoding="utf-8")
+    if command == "gen":
+        argv = ["gen", "--out", str(afile / "y"), "--pages", "20"]
+    else:
+        argv = [command, "--spec", str(spec_path), "--index", str(index_path)]
+        argv += ["--out", str(afile / "x")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_unreadable_snapshot_in_a_crawl_is_one_error_line(
+    archive_dir, spec_path, tmp_path, monkeypatch, capsys
+):
+    import eventcrawl.warc as warc
+
+    index_path = tmp_path / "i.cdx"
+    assert main(["index", "--warc-dir", str(archive_dir), "--index", str(index_path)]) == 0
+
+    def unreadable(path, offset, length):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(warc, "read_record_span", unreadable)
+    out_dir = tmp_path / "out"
+    argv = ["crawl", "--spec", str(spec_path), "--index", str(index_path), "--out", str(out_dir)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 13] Permission denied: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 class TestValidateCommand:
     def test_valid_spec(self, spec_path, capsys):
         assert main(["validate", "--spec", str(spec_path)]) == 0

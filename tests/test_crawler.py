@@ -429,6 +429,26 @@ class TestRunCrawl:
             actions = {t.url: t.action for t in result.trace}
             assert actions["http://e.de/r1"] == "skip"
 
+    def test_body_in_a_coding_it_cannot_decode_is_skipped(self, tmp_path, event_scope):
+        pages = [
+            {"url": "http://e.de/seed", "body": page_html("alpha", ["/br", "/r1"])},
+            {
+                "url": "http://e.de/br",
+                "http_headers": [b"Content-Type: text/html", b"Content-Encoding: br"],
+                "body": b"\x8b\x03\x80<p>alpha</p>\x03",
+            },
+            {"url": "http://e.de/r1", "body": page_html("beta")},
+        ]
+        build_index([write_warc(tmp_path / "a.warc.gz", pages)], tmp_path / "index.cdx")
+        index = ArchiveIndex.open(tmp_path / "index.cdx")
+        spec = make_spec(["http://e.de/seed"], event_scope)
+        result = run_crawl(spec, index, CrawlStrategy.UNFOCUSED, idf=IDF)
+        assert result.fetched_urls == ["http://e.de/seed", "http://e.de/r1"]
+        assert result.missing == {"http://e.de/br"}
+        assert [(t.url, t.action) for t in result.trace if t.action != "fetch"] == [
+            ("http://e.de/br", "skip")
+        ]
+
     @pytest.mark.parametrize("strategy", list(CrawlStrategy))
     def test_matches_reference_simulation(self, tmp_path, event_scope, strategy):
         rng = random.Random(hash(strategy.value) & 0xFFFF)

@@ -64,6 +64,30 @@ def test_ip_literal_host_keeps_its_brackets(url):
     assert canonicalize_url("b", url) == url.removesuffix("a") + "b"
 
 
+# Written as literals, so every Python version checks the same results:
+# urlsplit itself checks brackets only from 3.11.4 on.
+@pytest.mark.parametrize(
+    "url, expected",
+    [
+        ("http://[foo]/a", None),
+        ("http://[1.2.3.4]/a", None),
+        ("http://[::1]:8080/a", "http://[::1]:8080/a"),
+        ("http://[v1.x]/a", "http://[v1.x]/a"),
+        ("http://[::FFFF:1.2.3.4]/a", "http://[::ffff:1.2.3.4]/a"),
+        ("http://[V1.x]/a", None),
+        ("http://a[::1]/a", None),
+        ("http://[::1]a/a", None),
+        ("http://u[1]@[::1]/a", None),
+    ],
+)
+def test_brackets_hold_only_an_ipv6_address_or_an_ipvfuture(url, expected):
+    if expected is None:
+        with pytest.raises(CanonicalizationError):
+            canonicalize_url(url)
+    else:
+        assert canonicalize_url(url) == expected
+
+
 _URL_CHARS = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJ0123456789-._~%/?=&:# \x0b\u2028",
     min_size=0,

@@ -6,10 +6,13 @@ The index is a sorted plain-text file, one line per indexed capture::
 
 Only HTTP 200 responses with an HTML media type are indexed. Opening an
 index checks every line against one grammar but decodes none; a lookup
-decodes its URL's lines on first use and keeps the records. Loaded
-indexes are otherwise immutable and safe for concurrent readers: two
-first lookups of one URL may both decode it, into equal records. Lookups
-are dictionary-backed, independent of archive size.
+decodes its URL's lines on first use and keeps the records. The check
+is one regular-expression pass that reads each line once, left to
+right, taking the warc_file word by word, so its cost follows the
+line's length. Loaded indexes are otherwise immutable and safe for
+concurrent readers: two first lookups of one URL may both decode it,
+into equal records. Lookups are dictionary-backed, independent of
+archive size.
 """
 
 from __future__ import annotations
@@ -48,9 +51,14 @@ logger = logging.getLogger(__name__)
 # An index line as to_line writes it, in a file read with universal
 # newlines. Only the warc_file may hold a space; integers have no sign,
 # underscore or leading zero. Groups: the line, its URL and its warc_file.
+# The warc_file is read one space-free word at a time, and the four-field
+# tail is tried only where a space starts, so a line is read once, left to
+# right. No tail field holds a space, so only one split of a line can
+# match. (Python 3.10 has no atomic groups or possessive quantifiers.)
 _INT = "(?:0|[1-9][0-9]*)"
+_WORDS = r"[^ \r\n]*(?: [^ \r\n]*)*?"
 _INDEX_LINE = re.compile(
-    rf"(?m)^(([^ \r\n]*) {TS14_PATTERN} ([^\r\n]*) {_INT} {_INT} {_INT} [^ \r\n]*)$"
+    rf"(?m)^(([^ \r\n]*) {TS14_PATTERN} ({_WORDS}) {_INT} {_INT} {_INT} [^ \r\n]*)$"
 )
 
 

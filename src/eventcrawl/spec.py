@@ -31,7 +31,8 @@ path, relative paths resolved against the spec file's directory) or
 ``archive-url`` (value is a URL resolved against the archive index when
 the crawl starts). Timestamps are ISO-8601; date-only values expand to
 00:00:00 (start) and 23:59:59 (end) UTC. Durations accept humane units
-(``2w``, ``3d``, ``6m``) or bare seconds.
+(``2w``, ``3d``, ``6m``) or bare seconds. A member of another JSON type
+than shown (a string for a list, ``true`` for a number) is a parse error.
 """
 
 from __future__ import annotations
@@ -231,35 +232,60 @@ def parse_spec_file(path: str | Path) -> CollectionSpecification:
 
 
 def _spec_from_doc(doc: dict) -> CollectionSpecification:
-    topical_doc = doc["topical"]
-    temporal_doc = doc["temporal"]
+    topical_doc = _json_typed(doc["topical"], dict, "topical")
+    temporal_doc = _json_typed(doc["temporal"], dict, "temporal")
 
+    references = topical_doc.get("reference_documents", [])
     refs = []
-    for ref in topical_doc.get("reference_documents", []):
+    for ref in _json_typed(references, list, "topical.reference_documents"):
         if isinstance(ref, str):  # bare string shorthand for inline text
             refs.append(ReferenceDocument("inline", ref))
         else:
             refs.append(ReferenceDocument(str(ref["kind"]), str(ref["value"])))
 
+    keywords = _json_typed(topical_doc.get("keywords", []), list, "topical.keywords")
     topical = TopicalScope(
         reference_documents=tuple(refs),
-        keywords=tuple(str(k) for k in topical_doc.get("keywords", [])),
+        keywords=tuple(str(k) for k in keywords),
         language=str(topical_doc.get("language", "en")),
     )
+    lead_time = _not_bool(temporal_doc.get("lead_time", 0), "temporal.lead_time")
+    cool_down_time = _not_bool(temporal_doc.get("cool_down_time", 0), "temporal.cool_down_time")
     temporal = TemporalScope(
         event_start=parse_iso8601(str(temporal_doc["event_start"])),
         event_end=parse_iso8601(str(temporal_doc["event_end"]), end_of_day=True),
-        lead_time=parse_duration(temporal_doc.get("lead_time", 0)),
-        cool_down_time=parse_duration(temporal_doc.get("cool_down_time", 0)),
+        lead_time=parse_duration(lead_time),
+        cool_down_time=parse_duration(cool_down_time),
     )
+    target_size = _not_bool(doc.get("target_size", DEFAULT_TARGET_SIZE), "target_size")
+    if isinstance(target_size, float) and not target_size.is_integer():
+        raise SpecParseError(f"target_size must be a whole number, not {target_size!r}")
     return CollectionSpecification(
         name=str(doc["name"]),
         topical=topical,
         temporal=temporal,
-        seeds=tuple(str(s) for s in doc.get("seeds", [])),
-        target_size=int(doc.get("target_size", DEFAULT_TARGET_SIZE)),
-        alpha=float(doc.get("alpha", DEFAULT_ALPHA)),
+        seeds=tuple(str(s) for s in _json_typed(doc.get("seeds", []), list, "seeds")),
+        target_size=int(target_size),
+        alpha=float(_not_bool(doc.get("alpha", DEFAULT_ALPHA), "alpha")),
     )
+
+
+# The JSON name of each container type a spec member may be required to have.
+_JSON_TYPE_NAMES = {dict: "object", list: "array"}
+
+
+def _json_typed(value, kind: type, path: str):
+    """``value``, if it is of ``kind``; a string is not an array of letters."""
+    if not isinstance(value, kind):
+        raise SpecParseError(f"{path} must be a JSON {_JSON_TYPE_NAMES[kind]}")
+    return value
+
+
+def _not_bool(value, path: str):
+    """``value``, unless it is true or false, which Python would read as 1 or 0."""
+    if isinstance(value, bool):
+        raise SpecParseError(f"{path} must be a number, not {json.dumps(value)}")
+    return value
 
 
 def serialize_spec(spec: CollectionSpecification) -> str:

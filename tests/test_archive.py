@@ -1,5 +1,7 @@
 import gzip
 import hashlib
+import re
+import signal
 import sys
 import threading
 import time
@@ -18,7 +20,7 @@ from eventcrawl.archive import (
     fetch_document,
     write_collection,
 )
-from eventcrawl.timeutil import parse_ts14, to_epoch
+from eventcrawl.timeutil import TS14_PATTERN, parse_ts14, to_epoch
 from eventcrawl.urlnorm import CanonicalizationError, canonicalize_url
 from eventcrawl.warc import MalformedRecord, WarcWriter, build_response_record
 
@@ -318,6 +320,22 @@ def _index_lines(draw):
     return " ".join(values if draw(st.booleans()) else values[: draw(st.integers(1, 7))])
 
 
+# The index grammar before the WARC path was read word by word: a greedy
+# group takes the rest of the line and gives it back until the tail fits.
+_GREEDY_INDEX_LINE = re.compile(
+    rf"(?m)^(([^ \r\n]*) {TS14_PATTERN} ([^\r\n]*)"
+    r" (?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*) [^ \r\n]*)$"
+)
+# Text set before or after an index line: spaces, extra fields, a form
+# feed and a NEL (neither ends a line here), and line breaks.
+_AFFIXES = st.lists(
+    st.sampled_from(
+        [" ", "  ", " 7", " text/html", " 7 8 9 text/html", "7 ", "\x0c", "\x85", "\r", "\n", "x"]
+    ),
+    max_size=3,
+).map("".join)
+
+
 class TestIndexGrammar:
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(line=_index_lines())
@@ -345,6 +363,48 @@ class TestIndexGrammar:
         assert (index.url_count, index.record_count) == (1, 1)
         assert index.resolve_snapshots(record.canonical_url) == [record]
         assert record.to_line() == line  # the grammar is what to_line writes
+
+    @given(
+        lines=st.lists(
+            st.tuples(_AFFIXES, _index_lines(), _AFFIXES).map("".join), min_size=1, max_size=3
+        )
+    )
+    @example(lines=["http://e.de/ 20110305120000 a b.warc.gz 0 99 200 text/html foo 7 8 9 x"])
+    @example(lines=["\x85http://e.de/ 20110305120000 a  b.warc.gz 0 99 200 text/html\x0c"])
+    def test_grammar_agrees_with_the_greedy_oracle(self, lines):
+        text = "\n".join(lines)
+        assert archive._INDEX_LINE.findall(text) == _GREEDY_INDEX_LINE.findall(text)
+        for line in [text, *text.split("\n")]:
+            match = archive._INDEX_LINE.fullmatch(line)
+            oracle = _GREEDY_INDEX_LINE.fullmatch(line)
+            assert (match and match.groups()) == (oracle and oracle.groups())
+
+    @pytest.mark.parametrize("tail", ["7 99 200 text/html", "7 99 -200 text/html"])
+    def test_grammar_matches_in_time_linear_in_the_warc_words(self, tail):
+        def seconds(words):
+            line = f"http://e.de/ 20110305120000 {' '.join(['7'] * words)} {tail}"
+            best = float("inf")
+            for _ in range(3):
+                started = time.perf_counter()
+                archive._INDEX_LINE.findall(line)
+                archive._INDEX_LINE.fullmatch(line)
+                best = min(best, time.perf_counter() - started)
+            return best
+
+        def too_slow(signum, frame):
+            raise AssertionError("matching took over 10 s: the grammar backtracks over the words")
+
+        # Backtracking nested over the words runs for minutes at these sizes;
+        # the regex engine checks for signals, so the alarm ends it.
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            small, large = seconds(20_000), seconds(80_000)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        # Linear cost reads about 4x for 4x the words.
+        assert large < 8 * small
 
     def test_open_parses_no_timestamp(self, tmp_path, monkeypatch):
         pages = [

@@ -389,6 +389,18 @@ class TestValidateCommand:
         bad.write_text("{", encoding="utf-8")
         assert main(["validate", "--spec", str(bad)]) == 1
 
+    @pytest.mark.parametrize("path, kind", [("topical.keywords", "array"), ("topical", "object")])
+    def test_member_of_the_wrong_json_type_is_invalid_spec(
+        self, spec_path, tmp_path, capsys, path, kind
+    ):
+        body = json.loads(spec_path.read_text(encoding="utf-8"))
+        scope, _, key = path.rpartition(".")
+        (body[scope] if scope else body)[key] = "flood"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(body), encoding="utf-8")
+        assert main(["validate", "--spec", str(bad)]) == 1
+        assert capsys.readouterr().err == f"invalid: {path} must be a JSON {kind}\n"
+
 
 class TestGenAndEval:
     def test_gen_writes_archive_and_spec(self, tmp_path, capsys):

@@ -225,3 +225,60 @@ def test_parse_spec_file_resolves_relative_reference_paths(tmp_path):
     spec_path.write_text(json.dumps(body), encoding="utf-8")
     spec = parse_spec_file(spec_path)
     assert spec.topical.reference_documents[0].value == str(ref)
+
+
+
+def doc_at(path, value):
+    """The minimal spec as JSON, with the member at dotted ``path`` set to ``value``."""
+    body = json.loads(doc())
+    scope, _, key = path.rpartition(".")
+    (body[scope] if scope else body)[key] = value
+    return json.dumps(body)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("topical.keywords", "flood"),
+        ("topical.reference_documents", "flood in the old town"),
+        ("topical.reference_documents", {"kind": "inline", "value": "flood"}),
+        ("seeds", "http://a.test/"),
+    ],
+)
+def test_a_list_field_that_is_not_a_json_array_is_parse_error(path, value):
+    with pytest.raises(SpecParseError, match=rf"^{path} must be a JSON array$"):
+        parse_spec(doc_at(path, value))
+
+
+@pytest.mark.parametrize("path", ["topical", "temporal"])
+@pytest.mark.parametrize("value", ["x", [], None])
+def test_a_scope_that_is_not_a_json_object_is_parse_error(path, value):
+    with pytest.raises(SpecParseError, match=rf"^{path} must be a JSON object$"):
+        parse_spec(doc_at(path, value))
+
+
+def test_a_bare_string_stays_one_inline_reference():
+    spec = parse_spec(doc_at("topical.reference_documents", ["flood in the old town"]))
+    assert spec.topical.reference_documents == (
+        ReferenceDocument("inline", "flood in the old town"),
+    )
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize(
+    "path", ["temporal.lead_time", "temporal.cool_down_time", "target_size", "alpha"]
+)
+def test_a_boolean_is_not_a_number(path, flag):
+    with pytest.raises(SpecParseError, match=rf"^{path} must be a number, not {json.dumps(flag)}$"):
+        parse_spec(doc_at(path, flag))
+
+
+@pytest.mark.parametrize("size", [42.5, float("inf"), float("nan")])
+def test_target_size_that_is_not_a_whole_number_is_parse_error(size):
+    with pytest.raises(SpecParseError, match="^target_size must be a whole number"):
+        parse_spec(doc_at("target_size", size))  # json.dumps writes Infinity and NaN
+
+
+def test_target_size_written_as_a_whole_float_is_read_as_an_integer():
+    spec = parse_spec(doc_at("target_size", 42.0))
+    assert spec.target_size == 42 and isinstance(spec.target_size, int)

@@ -31,8 +31,10 @@ path, relative paths resolved against the spec file's directory) or
 ``archive-url`` (value is a URL resolved against the archive index when
 the crawl starts). Timestamps are ISO-8601; date-only values expand to
 00:00:00 (start) and 23:59:59 (end) UTC. Durations accept humane units
-(``2w``, ``3d``, ``6m``) or bare seconds. A member of another JSON type
-than shown (a string for a list, ``true`` for a number) is a parse error.
+(``2w``, ``3d``, ``6m``) or bare seconds, so ``lead_time`` and
+``cool_down_time`` may be a string or a number. A member of another JSON
+type than shown (a string for a list, ``true`` or ``"10"`` for a number,
+``null`` for anything) is a parse error that names the member's path.
 """
 
 from __future__ import annotations
@@ -232,59 +234,69 @@ def parse_spec_file(path: str | Path) -> CollectionSpecification:
 
 
 def _spec_from_doc(doc: dict) -> CollectionSpecification:
-    topical_doc = _json_typed(doc["topical"], dict, "topical")
-    temporal_doc = _json_typed(doc["temporal"], dict, "temporal")
+    topical_doc = _typed(doc["topical"], "topical", "object")
+    temporal_doc = _typed(doc["temporal"], "temporal", "object")
 
-    references = topical_doc.get("reference_documents", [])
+    path = "topical.reference_documents"
     refs = []
-    for ref in _json_typed(references, list, "topical.reference_documents"):
-        if isinstance(ref, str):  # bare string shorthand for inline text
+    for i, ref in enumerate(_typed(topical_doc.get("reference_documents", []), path, "array")):
+        at = f"{path}[{i}]"
+        if isinstance(_typed(ref, at, "string", "object"), str):  # shorthand for inline text
             refs.append(ReferenceDocument("inline", ref))
         else:
-            refs.append(ReferenceDocument(str(ref["kind"]), str(ref["value"])))
+            kind = _typed(ref["kind"], f"{at}.kind", "string")
+            refs.append(ReferenceDocument(kind, _typed(ref["value"], f"{at}.value", "string")))
 
-    keywords = _json_typed(topical_doc.get("keywords", []), list, "topical.keywords")
+    keywords = _typed(topical_doc.get("keywords", []), "topical.keywords", "array")
     topical = TopicalScope(
         reference_documents=tuple(refs),
-        keywords=tuple(str(k) for k in keywords),
-        language=str(topical_doc.get("language", "en")),
+        keywords=tuple(
+            _typed(word, f"topical.keywords[{i}]", "string") for i, word in enumerate(keywords)
+        ),
+        language=_typed(topical_doc.get("language", "en"), "topical.language", "string"),
     )
-    lead_time = _not_bool(temporal_doc.get("lead_time", 0), "temporal.lead_time")
-    cool_down_time = _not_bool(temporal_doc.get("cool_down_time", 0), "temporal.cool_down_time")
+    lead_time = temporal_doc.get("lead_time", 0)
+    cool_down_time = temporal_doc.get("cool_down_time", 0)
     temporal = TemporalScope(
-        event_start=parse_iso8601(str(temporal_doc["event_start"])),
-        event_end=parse_iso8601(str(temporal_doc["event_end"]), end_of_day=True),
-        lead_time=parse_duration(lead_time),
-        cool_down_time=parse_duration(cool_down_time),
+        event_start=parse_iso8601(
+            _typed(temporal_doc["event_start"], "temporal.event_start", "string")
+        ),
+        event_end=parse_iso8601(
+            _typed(temporal_doc["event_end"], "temporal.event_end", "string"), end_of_day=True
+        ),
+        lead_time=parse_duration(_typed(lead_time, "temporal.lead_time", "string", "number")),
+        cool_down_time=parse_duration(
+            _typed(cool_down_time, "temporal.cool_down_time", "string", "number")
+        ),
     )
-    target_size = _not_bool(doc.get("target_size", DEFAULT_TARGET_SIZE), "target_size")
+    target_size = _typed(doc.get("target_size", DEFAULT_TARGET_SIZE), "target_size", "number")
     if isinstance(target_size, float) and not target_size.is_integer():
         raise SpecParseError(f"target_size must be a whole number, not {target_size!r}")
+    seeds = _typed(doc.get("seeds", []), "seeds", "array")
     return CollectionSpecification(
-        name=str(doc["name"]),
+        name=_typed(doc["name"], "name", "string"),
         topical=topical,
         temporal=temporal,
-        seeds=tuple(str(s) for s in _json_typed(doc.get("seeds", []), list, "seeds")),
+        seeds=tuple(_typed(seed, f"seeds[{i}]", "string") for i, seed in enumerate(seeds)),
         target_size=int(target_size),
-        alpha=float(_not_bool(doc.get("alpha", DEFAULT_ALPHA), "alpha")),
+        alpha=float(_typed(doc.get("alpha", DEFAULT_ALPHA), "alpha", "number")),
     )
 
 
-# The JSON name of each container type a spec member may be required to have.
-_JSON_TYPE_NAMES = {dict: "object", list: "array"}
+# The Python types of each JSON type a spec member may be required to have.
+_JSON_TYPES = {"string": (str,), "number": (int, float), "array": (list,), "object": (dict,)}
 
 
-def _json_typed(value, kind: type, path: str):
-    """``value``, if it is of ``kind``; a string is not an array of letters."""
-    if not isinstance(value, kind):
-        raise SpecParseError(f"{path} must be a JSON {_JSON_TYPE_NAMES[kind]}")
-    return value
+def _typed(value, path: str, *kinds: str):
+    """``value``, if it has one of the JSON types ``kinds``; raises SpecParseError if not.
 
-
-def _not_bool(value, path: str):
-    """``value``, unless it is true or false, which Python would read as 1 or 0."""
-    if isinstance(value, bool):
+    Python reads true and false as 1 and 0, so neither is a number here;
+    nor is a string an array of letters.
+    """
+    if isinstance(value, bool) and "number" in kinds:
         raise SpecParseError(f"{path} must be a number, not {json.dumps(value)}")
+    if not isinstance(value, tuple(python for kind in kinds for python in _JSON_TYPES[kind])):
+        raise SpecParseError(f"{path} must be a JSON {' or '.join(kinds)}")
     return value
 
 

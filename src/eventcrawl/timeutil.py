@@ -2,6 +2,10 @@
 
 All time arithmetic is seconds since epoch, UTC. Archival capture times
 use the 14-digit ``YYYYMMDDhhmmss`` form and must round-trip exactly.
+ISO-8601 dates and date-times are read by one grammar of this module's
+own, not by ``datetime.fromisoformat``, whose forms grew in Python 3.11,
+so a WARC-Date or a page's publication time reads the same on every
+supported version.
 """
 
 from __future__ import annotations
@@ -30,8 +34,23 @@ TS14_PATTERN = (
     r"|(?:0[469]|11)(?:0[1-9]|[12][0-9]|30)|02(?:0[1-9]|1[0-9]|2[0-8]))"
     rf"|{_LEAP_YEAR}0229)(?:[01][0-9]|2[0-3])[0-5][0-9][0-5][0-9]"
 )
-# A week date without a weekday, the one date-only form that names more than a day.
-_WEEK_RE = re.compile(r"[0-9]{4}-?W[0-9]{2}")
+# The ISO-8601 forms parse_iso8601 reads, on every Python version: a
+# calendar date (YYYY-MM-DD, YYYYMMDD) or a week date (YYYY-Www[-D],
+# YYYYWww[D]); then, after "T" or a space, an optional time (hh, hh:mm,
+# hh:mm:ss, hhmm, hhmmss; seconds may carry a fraction after "." or ",");
+# then, after a time, an optional zone (Z, z, +hh:mm, +hhmm, +hh or the
+# same with "-"). The date and the time are each wholly basic or wholly
+# extended, independently of each other.
+_ISO8601_RE = re.compile(
+    r"(?P<year>[0-9]{4})(?P<dash>-?)"
+    r"(?:(?P<month>[0-9]{2})(?P=dash)(?P<day>[0-9]{2})"
+    r"|W(?P<week>[0-9]{2})(?:(?P=dash)(?P<weekday>[0-9]))?)"
+    r"(?:[T ](?P<hour>[0-9]{2})"
+    r"(?:(?P<colon>:?)(?P<minute>[0-9]{2})"
+    r"(?:(?P=colon)(?P<second>[0-9]{2})(?:[.,](?P<fraction>[0-9]+))?)?)?"
+    r"(?:[Zz]|(?P<sign>[+-])(?P<zone_hour>[01][0-9]|2[0-3])"
+    r"(?::?(?P<zone_minute>[0-5][0-9]))?)?)?"
+)
 
 # Humane duration units; months and years use fixed civil approximations.
 _DURATION_UNITS = {
@@ -73,33 +92,48 @@ def format_ts14(when: datetime) -> str:
 def parse_iso8601(value: str, *, end_of_day: bool = False) -> datetime:
     """Parse an ISO-8601 date or date-time into an aware UTC datetime.
 
-    Date-only values (any form ``date.fromisoformat`` accepts) expand to
+    Reads the forms ``_ISO8601_RE`` spells out, the same on every Python
+    version, after stripping surrounding whitespace; a fraction of a
+    second is cut to the microsecond. Date-only values expand to
     00:00:00, or 23:59:59 when ``end_of_day`` is set; a week without a
     weekday (``2011-W10``) starts on its Monday and ends on its Sunday.
-    Naive date-times are taken as UTC. A value outside the UTC range
-    raises ValueError.
+    Values without a zone are taken as UTC. Any other form, a field out
+    of range, or a value outside the UTC range raises ValueError.
     """
     text = value.strip()
     if not text:
         raise ValueError("empty timestamp")
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
+    match = _ISO8601_RE.fullmatch(text)
+    if match is None:
+        raise ValueError(f"invalid ISO-8601 timestamp: {value!r}")
+    (year, _, month, day, week, weekday, hour, _, minute, second, fraction,
+     sign, zone_hour, zone_minute) = match.groups()
     try:
-        parsed = datetime.fromisoformat(text)
+        if week is None:
+            fields = (int(year), int(month), int(day))
+        else:
+            named = date.fromisocalendar(int(year), int(week), int(weekday or 1))
+            fields = (named.year, named.month, named.day)
+        parsed = datetime(
+            *fields,
+            int(hour or 0),
+            int(minute or 0),
+            int(second or 0),
+            int(fraction[:6].ljust(6, "0")) if fraction else 0,
+            tzinfo=timezone.utc,
+        )
     except ValueError as exc:
         raise ValueError(f"invalid ISO-8601 timestamp: {value!r}") from exc
-    if end_of_day:
-        try:
-            date.fromisoformat(text)
-        except ValueError:
-            pass  # the value has a time
-        else:
-            days = 6 if _WEEK_RE.fullmatch(text) else 0
-            try:
-                parsed = parsed + timedelta(days=days, hours=23, minutes=59, seconds=59)
-            except OverflowError:  # e.g. 9999-W52, whose Sunday is in year 10000
-                raise ValueError(f"outside the UTC date range: {value!r}") from None
-    return _as_utc(parsed)
+    try:
+        if sign is not None:  # the local time is the UTC time plus the offset
+            offset = timedelta(hours=int(zone_hour), minutes=int(zone_minute or 0))
+            parsed = parsed - offset if sign == "+" else parsed + offset
+        if end_of_day and hour is None:
+            days = 6 if week is not None and weekday is None else 0
+            parsed = parsed + timedelta(days=days, hours=23, minutes=59, seconds=59)
+    except OverflowError:  # 0001-01-01T00:00+01:00, or 9999-W52, whose Sunday is in 10000
+        raise ValueError(f"outside the UTC date range: {value!r}") from None
+    return parsed
 
 
 def format_iso(when: datetime) -> str:

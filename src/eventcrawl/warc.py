@@ -4,9 +4,12 @@ Reads response records with their on-disk byte spans so an index can
 point back at them, and writes deterministic records (fixed header
 order, explicit record IDs and dates, gzip members with zero mtime).
 Compression is detected per record, so files mixing plain and gzipped
-members still read correctly. A scan reads each file through the
-file's own ``_CHUNK``-byte buffer. ``decode_payload`` undoes the
-transfer and content codings of an HTTP payload.
+members still read correctly. A scan reads each file through a
+``_CHUNK``-byte buffer in plain reads of ``_CHUNK`` bytes, so a gzip
+member is inflated from its own bytes plus at most one piece beyond
+them. One ``_inflate`` serves the scan, ``read_record_span`` and
+``decode_payload``, which undoes the transfer and content codings of an
+HTTP payload.
 """
 
 from __future__ import annotations
@@ -34,8 +37,10 @@ __all__ = [
 _GZIP_MAGIC = b"\x1f\x8b"
 _CRLF = b"\r\n"
 _HEADER_END = b"\r\n\r\n"
-# The buffer size of a scanned file: the bytes read from it at a time.
-_CHUNK = 1 << 16
+# The ``wbits`` of a gzip stream.
+_GZIP = 16 + zlib.MAX_WBITS
+# The buffer size of a scanned file, and the bytes read from it at a time.
+_CHUNK = 1 << 12
 
 
 class MalformedRecord(ValueError):
@@ -80,15 +85,10 @@ def find_header(headers: Iterable[tuple[str, str]], name: str) -> str | None:
 
 
 def _chunks(handle: BinaryIO, pos: int) -> Iterator[bytes]:
-    """The file's bytes from ``pos`` on, one peek at its buffer at a time.
-
-    The handle moves past a chunk only when the next one is asked for,
-    so a seek to an offset within the last chunk stays inside the buffer.
-    """
+    """The file's bytes from ``pos`` on, ``_CHUNK`` bytes at a time."""
     handle.seek(pos)
-    while chunk := handle.peek():
+    while chunk := handle.read(_CHUNK):
         yield chunk
-        handle.seek(len(chunk), 1)
 
 
 def _find(handle: BinaryIO, pos: int, *markers: bytes) -> int:
@@ -110,15 +110,15 @@ def _find(handle: BinaryIO, pos: int, *markers: bytes) -> int:
     return -1
 
 
-def _inflate_member(
-    chunks: Iterable[bytes | memoryview], path: str | Path, offset: int
+def _inflate(
+    chunks: Iterable[bytes], wbits: int, what: str, path: str | Path = "", offset: int = -1
 ) -> tuple[bytes, int]:
-    """Inflate the gzip member that ``chunks`` start with.
+    """Inflate the zlib, gzip or raw deflate stream, as ``wbits`` says, that ``chunks`` start with.
 
-    Returns the record bytes and the member's length on disk; bytes
-    after the member are left unread.
+    Returns the inflated bytes and the stream's length; bytes after the
+    stream are left unread. Errors name the stream ``what``.
     """
-    decomp = zlib.decompressobj(wbits=16 + zlib.MAX_WBITS)
+    decomp = zlib.decompressobj(wbits)
     parts = []
     consumed = 0
     for chunk in chunks:
@@ -126,10 +126,10 @@ def _inflate_member(
         try:
             parts.append(decomp.decompress(chunk))
         except zlib.error as exc:
-            raise MalformedRecord(f"bad gzip member: {exc}", path, offset) from exc
+            raise MalformedRecord(f"bad {what}: {exc}", path, offset) from exc
         if decomp.eof:
             return b"".join(parts), consumed - len(decomp.unused_data)
-    raise MalformedRecord("truncated gzip member", path, offset)
+    raise MalformedRecord(f"truncated {what}", path, offset)
 
 
 def _plain_record(
@@ -193,9 +193,9 @@ def iter_raw_records(path: str | Path) -> Iterator[RawRecord | MalformedRecord]:
 
     Yielding errors (rather than raising) lets callers skip and tally
     corrupt records; the scan resynchronizes at the next record start.
-    The file is read in one pass through its own ``_CHUNK``-byte buffer,
-    so memory is bounded by the largest record rather than by the file;
-    only the bytes after an unreadable record's start are read again.
+    The file is read in one pass of ``_CHUNK``-byte reads, so memory is
+    bounded by the largest record rather than by the file; only the
+    bytes after an unreadable record's start are read again.
     """
     with open(path, "rb", buffering=_CHUNK) as handle:
         size = os.fstat(handle.fileno()).st_size
@@ -211,7 +211,7 @@ def iter_raw_records(path: str | Path) -> Iterator[RawRecord | MalformedRecord]:
                 continue
             try:
                 if lead == _GZIP_MAGIC:
-                    raw, length = _inflate_member(_chunks(handle, pos), path, pos)
+                    raw, length = _inflate(_chunks(handle, pos), _GZIP, "gzip member", path, pos)
                 else:
                     raw, length = _plain_record(handle, pos, size, path)
                 record = _parse_record_bytes(raw, pos, length, path)
@@ -238,7 +238,7 @@ def read_record_span(path: str | Path, offset: int, length: int) -> RawRecord:
     """Random-access read of the record stored at (offset, length)."""
     data = _read_span(path, offset, length)
     if data[:2] == _GZIP_MAGIC:
-        data = _inflate_member((data,), path, offset)[0]
+        data = _inflate((data,), _GZIP, "gzip member", path, offset)[0]
     return _parse_record_bytes(data, offset, length, path)
 
 
@@ -287,12 +287,12 @@ def decode_payload(headers: list[tuple[str, str]], payload: bytes) -> bytes:
         payload = _unchunk(payload)
     for coding in reversed(_codings(headers, "content-encoding")):
         if coding in ("gzip", "x-gzip"):
-            payload = _inflate(payload, 16 + zlib.MAX_WBITS)
+            payload = _inflate((payload,), _GZIP, "compressed payload")[0]
         elif coding == "deflate":
             try:
-                payload = _inflate(payload, zlib.MAX_WBITS)
+                payload = _inflate((payload,), zlib.MAX_WBITS, "compressed payload")[0]
             except MalformedRecord:
-                payload = _inflate(payload, -zlib.MAX_WBITS)
+                payload = _inflate((payload,), -zlib.MAX_WBITS, "compressed payload")[0]
         else:
             raise MalformedRecord(f"unsupported content coding: {coding!r}")
     return payload
@@ -335,18 +335,6 @@ def _unchunk(data: bytes) -> bytes:
     if _TRAILER.fullmatch(data, pos) is None:
         raise MalformedRecord("chunked body does not end in a trailer and an empty line")
     return b"".join(parts)
-
-
-def _inflate(data: bytes, wbits: int) -> bytes:
-    """One whole zlib, gzip or raw deflate stream, as ``wbits`` says; later bytes are ignored."""
-    decomp = zlib.decompressobj(wbits)
-    try:
-        inflated = decomp.decompress(data)
-    except zlib.error as exc:
-        raise MalformedRecord(f"bad compressed payload: {exc}") from exc
-    if not decomp.eof:
-        raise MalformedRecord("truncated compressed payload")
-    return inflated
 
 
 def build_response_record(

@@ -401,6 +401,14 @@ class TestValidateCommand:
         assert main(["validate", "--spec", str(bad)]) == 1
         assert capsys.readouterr().err == f"invalid: {path} must be a JSON {kind}\n"
 
+    def test_a_number_written_as_a_string_is_invalid_spec(self, spec_path, tmp_path, capsys):
+        body = json.loads(spec_path.read_text(encoding="utf-8"))
+        body["alpha"] = "0.5"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(body), encoding="utf-8")
+        assert main(["validate", "--spec", str(bad)]) == 1
+        assert capsys.readouterr().err == "invalid: alpha must be a JSON number\n"
+
 
 class TestGenAndEval:
     def test_gen_writes_archive_and_spec(self, tmp_path, capsys):

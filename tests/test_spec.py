@@ -282,3 +282,57 @@ def test_target_size_that_is_not_a_whole_number_is_parse_error(size):
 def test_target_size_written_as_a_whole_float_is_read_as_an_integer():
     spec = parse_spec(doc_at("target_size", 42.0))
     assert spec.target_size == 42 and isinstance(spec.target_size, int)
+
+
+@pytest.mark.parametrize(
+    "path, value, kind",
+    [
+        ("name", None, "string"),
+        ("name", 42, "string"),
+        ("topical.language", None, "string"),
+        ("temporal.event_start", 20110301, "string"),
+        ("temporal.event_end", None, "string"),
+        ("temporal.lead_time", None, "string or number"),
+        ("temporal.cool_down_time", [], "string or number"),
+        ("target_size", "10", "number"),
+        ("alpha", "0.5", "number"),
+        ("alpha", None, "number"),
+    ],
+)
+def test_a_member_of_another_json_type_is_parse_error(path, value, kind):
+    with pytest.raises(SpecParseError, match=rf"^{path} must be a JSON {kind}$"):
+        parse_spec(doc_at(path, value))
+
+
+@pytest.mark.parametrize(
+    "path, items, message",
+    [
+        ("topical.keywords", [1, None], r"topical\.keywords\[0\] must be a JSON string"),
+        ("topical.keywords", ["flood", None], r"topical\.keywords\[1\] must be a JSON string"),
+        ("seeds", [None], r"seeds\[0\] must be a JSON string"),
+        (
+            "topical.reference_documents",
+            [5],
+            r"topical\.reference_documents\[0\] must be a JSON string or object",
+        ),
+        (
+            "topical.reference_documents",
+            [{"kind": "inline", "value": None}],
+            r"topical\.reference_documents\[0\]\.value must be a JSON string",
+        ),
+        (
+            "topical.reference_documents",
+            ["text", {"kind": 1, "value": "x"}],
+            r"topical\.reference_documents\[1\]\.kind must be a JSON string",
+        ),
+    ],
+)
+def test_an_array_item_of_another_json_type_is_parse_error(path, items, message):
+    with pytest.raises(SpecParseError, match=rf"^{message}$"):
+        parse_spec(doc_at(path, items))
+
+
+@pytest.mark.parametrize("path", ["temporal.lead_time", "temporal.cool_down_time"])
+def test_a_duration_may_be_a_string_or_a_number(path):
+    spec = parse_spec(doc_at(path, 90))
+    assert spec.temporal == parse_spec(doc_at(path, "90s")).temporal

@@ -1,5 +1,4 @@
 import re
-import sys
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -114,14 +113,9 @@ def test_outside_the_utc_range_is_value_error(value):
     ],
 )
 def test_end_of_day_expands_every_date_only_form(value, end):
-    if sys.version_info < (3, 11):  # fromisoformat takes no basic or week forms
-        with pytest.raises(ValueError):
-            parse_iso8601(value, end_of_day=True)
-    else:
-        assert parse_iso8601(value, end_of_day=True) == end.replace(tzinfo=timezone.utc)
+    assert parse_iso8601(value, end_of_day=True) == end.replace(tzinfo=timezone.utc)
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="fromisoformat takes no week forms")
 def test_week_date_starts_on_monday_and_ends_on_sunday():
     assert parse_iso8601("2011-W10") == datetime(2011, 3, 7, tzinfo=timezone.utc)
     # With a weekday it names one day, like any other date-only form.
@@ -130,6 +124,78 @@ def test_week_date_starts_on_monday_and_ends_on_sunday():
     )
     with pytest.raises(ValueError, match="outside the UTC date range"):
         parse_iso8601("9999-W52", end_of_day=True)  # its Sunday is in year 10000
+
+
+def _utc(*fields):
+    return datetime(*fields, tzinfo=timezone.utc)
+
+
+# One grammar on every Python: datetime.fromisoformat reads more forms from 3.11 on.
+@pytest.mark.parametrize(
+    "value,expected",
+    [
+        ("2011-03-01", _utc(2011, 3, 1)),
+        ("20110301", _utc(2011, 3, 1)),
+        ("2011-W10", _utc(2011, 3, 7)),
+        ("2011W10", _utc(2011, 3, 7)),
+        ("2011-W10-3", _utc(2011, 3, 9)),
+        ("2011W103", _utc(2011, 3, 9)),
+        ("2015-W53-7", _utc(2016, 1, 3)),
+        (" 2011-03-01\n", _utc(2011, 3, 1)),
+        ("2011-03-01T12", _utc(2011, 3, 1, 12)),
+        ("2011-03-01T12:30", _utc(2011, 3, 1, 12, 30)),
+        ("2011-03-01T12:30:15", _utc(2011, 3, 1, 12, 30, 15)),
+        ("2011-03-01T1230", _utc(2011, 3, 1, 12, 30)),
+        ("2011-03-01T123015", _utc(2011, 3, 1, 12, 30, 15)),
+        ("2011-03-01 12:30", _utc(2011, 3, 1, 12, 30)),
+        ("20110301T12:30", _utc(2011, 3, 1, 12, 30)),
+        ("2011-03-01T1200Z", _utc(2011, 3, 1, 12)),
+        ("2011-03-01T12:00:00.5Z", _utc(2011, 3, 1, 12, 0, 0, 500000)),
+        ("2011-03-01T12:00:00.12Z", _utc(2011, 3, 1, 12, 0, 0, 120000)),
+        ("2011-03-01T12:00:00,25z", _utc(2011, 3, 1, 12, 0, 0, 250000)),
+        ("2011-03-01T120000.000001", _utc(2011, 3, 1, 12, 0, 0, 1)),
+        ("2011-03-01T12:00:00.1234567Z", _utc(2011, 3, 1, 12, 0, 0, 123456)),  # cut, not rounded
+        ("2011-03-01T12:00:00.9999999Z", _utc(2011, 3, 1, 12, 0, 0, 999999)),
+        ("2011-03-01T12:00+01:00", _utc(2011, 3, 1, 11)),
+        ("2011-03-01T12:00+0100", _utc(2011, 3, 1, 11)),
+        ("2011-03-01T12:00+01", _utc(2011, 3, 1, 11)),
+        ("2011-03-01T12:00-05:30", _utc(2011, 3, 1, 17, 30)),
+        ("2011-03-01T12:00+23:59", _utc(2011, 2, 28, 12, 1)),
+        ("2011-03-01T12Z", _utc(2011, 3, 1, 12)),
+        ("", ValueError),
+        ("2011-060", ValueError),  # ordinal date
+        ("2011-03", ValueError),
+        ("2011", ValueError),
+        ("2011-0301", ValueError),  # basic and extended mixed within the date
+        ("2011-W103", ValueError),
+        ("2011-03-01Z", ValueError),  # a zone needs a time
+        ("2011-03-01T24:00", ValueError),
+        ("2011-03-01T12:60", ValueError),
+        ("2011-03-01T12:00:60", ValueError),
+        ("2011-03-01x12:00", ValueError),
+        ("2011-03-01t12:00", ValueError),
+        ("2011-03-01T12.5", ValueError),  # only seconds carry a fraction
+        ("2011-03-01T12:30.5", ValueError),
+        ("2011-03-01T12:00:00.", ValueError),
+        ("2011-03-01T12:0000", ValueError),  # basic and extended mixed within the time
+        ("2011-03-01T12:00+01:00:30", ValueError),
+        ("2011-03-01T12:00+01:60", ValueError),
+        ("2011-03-01T12:00+24:00", ValueError),
+        ("2011-13-01", ValueError),
+        ("2011-02-29", ValueError),
+        ("0000-01-01", ValueError),
+        ("2011-W10-0", ValueError),
+        ("2011-W10-8", ValueError),
+        ("2011-W53", ValueError),
+        ("\u0662\u0660\u0661\u0661-03-01", ValueError),  # digits of another script
+    ],
+)
+def test_iso8601_grammar(value, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            parse_iso8601(value)
+    else:
+        assert parse_iso8601(value) == expected
 
 
 def _strptime_ts14(value):

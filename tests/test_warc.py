@@ -231,3 +231,28 @@ def test_scan_memory_does_not_grow_with_record_count(tmp_path):
     small.write_bytes(pair * 20)
     large.write_bytes(pair * 200)
     assert _scan_peak_bytes(large) <= 1.2 * _scan_peak_bytes(small) + warc._CHUNK
+
+
+def test_scan_hands_the_decompressor_each_member_and_at_most_a_little_more(tmp_path):
+    rng = random.Random(0)
+    records = 300
+    path = tmp_path / "many.warc.gz"
+    path.write_bytes(b"".join(gzip_member(_record(i, rng.randbytes(200))) for i in range(records)))
+    fed = []
+    make = warc.zlib.decompressobj
+
+    class Counting:
+        def __init__(self, *args, **kwargs):
+            self._decomp = make(*args, **kwargs)
+
+        def decompress(self, data):
+            fed.append(len(data))
+            return self._decomp.decompress(data)
+
+        def __getattr__(self, name):
+            return getattr(self._decomp, name)
+
+    with mock.patch.object(warc.zlib, "decompressobj", Counting):
+        assert len(_records(path)) == records
+    # Each member is read in bounded pieces, not with whatever the file's buffer holds.
+    assert sum(fed) <= records * 8192 + path.stat().st_size

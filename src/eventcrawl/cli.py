@@ -5,9 +5,11 @@ Subcommands: ``index`` (build the URL lookup index from WARC files),
 ``validate`` (check a spec file), ``gen`` (create a synthetic archive).
 
 Exit codes: 0 success, 1 validation failure, 2 usage error or a file that
-cannot be read or written, 3 partial failure. An error ends a command
-with one line on stderr, never a traceback. All outputs are
-deterministic given identical inputs and seeds.
+cannot be read or written, 3 an ``eval`` whose reference documents
+cannot be resolved (each strategy's line reports the error). Any other
+error ends a command, ``eval`` as ``crawl``, with one line on stderr,
+never a traceback. All outputs are deterministic given identical inputs
+and seeds.
 """
 
 from __future__ import annotations
@@ -57,10 +59,7 @@ class _Exit(Exception):
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.handler(args)
     except BrokenPipeError:  # downstream closed the pipe; not our error
@@ -78,8 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="eventcrawl",
         description="Extract event-centric document collections from WARC archives.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--verbose", action="store_true", help="debug logging")
     # The inputs of a crawl or eval, which _load_inputs reads.
     inputs = argparse.ArgumentParser(add_help=False)
     inputs.add_argument("--spec", required=True, help="collection spec JSON file")
@@ -94,16 +91,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_index = sub.add_parser("index", parents=[common], help="build the snapshot index")
+    p_index = sub.add_parser("index", help="build the snapshot index")
     p_index.add_argument("--warc-dir", required=True, help="directory of WARC files")
     p_index.add_argument("--index", required=True, help="index file to write")
     p_index.set_defaults(handler=cmd_index)
 
-    p_crawl = sub.add_parser("crawl", parents=[common, inputs], help="run a focused extraction")
+    p_crawl = sub.add_parser("crawl", parents=[inputs], help="run a focused extraction")
     p_crawl.add_argument("--strategy", default="ct-f", help="unfocused | c-f | t-f | ct-f")
     p_crawl.set_defaults(handler=cmd_crawl)
 
-    p_eval = sub.add_parser("eval", parents=[common, inputs], help="compare crawl strategies")
+    p_eval = sub.add_parser("eval", parents=[inputs], help="compare crawl strategies")
     p_eval.add_argument(
         "--strategy",
         default="all",
@@ -112,11 +109,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", type=int, default=100, help="checkpoint interval")
     p_eval.set_defaults(handler=cmd_eval)
 
-    p_validate = sub.add_parser("validate", parents=[common], help="validate a spec file")
+    p_validate = sub.add_parser("validate", help="validate a spec file")
     p_validate.add_argument("--spec", required=True, help="collection spec JSON file")
     p_validate.set_defaults(handler=cmd_validate)
 
-    p_gen = sub.add_parser("gen", parents=[common], help="generate a synthetic archive")
+    p_gen = sub.add_parser("gen", help="generate a synthetic archive")
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.add_argument("--seed", type=int, default=0, help="random seed")
     p_gen.add_argument("--pages", type=int, default=1000, help="number of pages")

@@ -11,7 +11,6 @@ produce byte-identical archives.
 
 from __future__ import annotations
 
-import logging
 import uuid
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -43,8 +42,6 @@ __all__ = [
     "spec_for_ground_truth",
     "write_report_csvs",
 ]
-
-logger = logging.getLogger(__name__)
 
 LABEL_RELEVANT = "relevant"
 LABEL_DECOY = "decoy"
@@ -355,11 +352,12 @@ def run_comparison(
     across strategies. When reports from different crawl specs are to be
     compared (e.g. a keyword ablation), pass the common ``evaluation_spec``
     whose topical scope defines the measuring stick; by default each run
-    is measured with its own spec. A failing strategy is isolated: its
-    run records the error and the others still execute. The strategies
-    share one :class:`SnapshotAnalysis`, so each snapshot is scored once;
-    an ``evaluation_spec`` measure scores each snapshot's topical
-    relevance once more, and nothing else.
+    is measured with its own spec. The strategies share one
+    :class:`SnapshotAnalysis`, so the references are resolved once and
+    each snapshot is scored once; an ``evaluation_spec`` measure scores
+    each snapshot's topical relevance once more, and nothing else. A
+    reference document that cannot be resolved is recorded as the error
+    of every run, and no strategy crawls; any other error propagates.
     """
     if checkpoint_interval < 1:
         raise ValueError("checkpoint interval must be positive")
@@ -367,21 +365,15 @@ def run_comparison(
     measured: dict[SnapshotRecord, float] = {}
     if evaluation_spec is not None and evaluation_spec.topical != spec.topical:
         measure = TopicalScorer(evaluation_spec.topical, index, idf)
-    analysis = None
-    runs: list[StrategyRun] = []
+    report = EvalReport(budget=spec.target_size, checkpoint_interval=checkpoint_interval, runs=[])
+    try:
+        analysis = SnapshotAnalysis(spec, index, idf=idf)
+    except ValueError as exc:
+        report.runs = [StrategyRun(strategy=strategy, error=str(exc)) for strategy in strategies]
+        return report
     for strategy in strategies:
         run = StrategyRun(strategy=strategy)
-        try:
-            # Built inside the loop so that a reference that fails to
-            # resolve is recorded on every strategy, as a crawl error.
-            if analysis is None:
-                analysis = SnapshotAnalysis(spec, index, idf=idf)
-            result = run_crawl(spec, index, strategy, analysis=analysis)
-        except Exception as exc:  # isolate per-strategy failures
-            logger.error("strategy %s failed: %s", strategy.value, exc)
-            run.error = str(exc)
-            runs.append(run)
-            continue
+        result = run_crawl(spec, index, strategy, analysis=analysis)
         accumulated = 0.0
         for position, item in enumerate(result.collection, start=1):
             if measure is None:
@@ -398,8 +390,8 @@ def run_comparison(
         run.fetched = total
         run.missing = len(result.missing)
         run.queued_at_end = result.queued_at_end
-        runs.append(run)
-    return EvalReport(budget=spec.target_size, checkpoint_interval=checkpoint_interval, runs=runs)
+        report.runs.append(run)
+    return report
 
 
 def compare_variants(

@@ -23,17 +23,18 @@ __all__ = [
     "to_epoch",
 ]
 
-# ASCII only: ``\d`` would also match other scripts' digits, which int() reads.
-_TS14_RE = re.compile(r"[0-9]{14}")
-# Exactly the values parse_ts14 accepts, as a regular expression: years
-# 0001-9999, each month's length, leap years (divisible by 4, centuries
-# only by 400), hours below 24, minutes and seconds below 60.
+# A valid capture time, the one rule that parse_ts14 and the index line
+# grammar check: 14 ASCII digits (``\d`` would also match other scripts'
+# digits, which int() reads), years 0001-9999, each month's length, leap
+# years (divisible by 4, centuries only by 400), hours below 24, minutes
+# and seconds below 60.
 _LEAP_YEAR = r"(?:[0-9]{2}(?:0[48]|[2468][048]|[13579][26])|(?:[02468][048]|[13579][26])00)"
 TS14_PATTERN = (
     r"(?!0000)(?:[0-9]{4}(?:(?:0[13578]|1[02])(?:0[1-9]|[12][0-9]|3[01])"
     r"|(?:0[469]|11)(?:0[1-9]|[12][0-9]|30)|02(?:0[1-9]|1[0-9]|2[0-8]))"
     rf"|{_LEAP_YEAR}0229)(?:[01][0-9]|2[0-3])[0-5][0-9][0-5][0-9]"
 )
+_TS14 = re.compile(TS14_PATTERN)
 # The ISO-8601 forms parse_iso8601 reads, on every Python version: a
 # calendar date (YYYY-MM-DD, YYYYMMDD) or a week date (YYYY-Www[-D],
 # YYYYWww[D]); then, after "T" or a space, an optional time (hh, hh:mm,
@@ -67,20 +68,17 @@ _DURATION_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*([shdwmy])?\s*$", re.IGNORECAS
 
 def parse_ts14(value: str) -> datetime:
     """Parse a 14-digit archival timestamp into an aware UTC datetime."""
-    if _TS14_RE.fullmatch(value) is None:
-        raise ValueError(f"not a 14-digit timestamp: {value!r}")
-    try:
-        return datetime(
-            int(value[0:4]),
-            int(value[4:6]),
-            int(value[6:8]),
-            int(value[8:10]),
-            int(value[10:12]),
-            int(value[12:14]),
-            tzinfo=timezone.utc,
-        )
-    except ValueError as exc:
-        raise ValueError(f"invalid archival timestamp: {value!r}") from exc
+    if _TS14.fullmatch(value) is None:
+        raise ValueError(f"not a valid 14-digit timestamp: {value!r}")
+    return datetime(
+        int(value[0:4]),
+        int(value[4:6]),
+        int(value[6:8]),
+        int(value[8:10]),
+        int(value[10:12]),
+        int(value[12:14]),
+        tzinfo=timezone.utc,
+    )
 
 
 def format_ts14(when: datetime) -> str:

@@ -247,17 +247,19 @@ def read_raw_span(path: str | Path, offset: int, length: int) -> bytes:
     return _read_span(path, offset, length)
 
 
+# The empty line that ends an HTTP head: the first LF followed by a line
+# end, CRLF or a bare LF (RFC 9112 §2.2). Led by a plain LF, the search
+# runs at find()'s speed; a CR before it stays with the last header line.
+_HTTP_HEAD_END = re.compile(rb"\n\r?\n")
+
+
 def parse_http_response(block: bytes) -> tuple[int, list[tuple[str, str]], bytes]:
     """Split an HTTP response block into (status, headers, payload)."""
-    head_end = block.find(_HEADER_END)
-    sep_len = len(_HEADER_END)
-    if head_end < 0:
-        head_end = block.find(b"\n\n")
-        sep_len = 2
-    if head_end < 0:
+    head_end = _HTTP_HEAD_END.search(block)
+    if head_end is None:
         raise MalformedRecord("HTTP response head never terminates")
     # A line ends only at CRLF or a bare LF (RFC 9112 §2.2); strip() drops the CR.
-    lines = block[:head_end].decode("iso-8859-1").split("\n")
+    lines = block[: head_end.start()].decode("iso-8859-1").split("\n")
     if not lines[0].startswith("HTTP/"):
         raise MalformedRecord(f"not an HTTP response: {lines[0][:40]!r}")
     parts = lines[0].split(None, 2)
@@ -270,7 +272,7 @@ def parse_http_response(block: bytes) -> tuple[int, list[tuple[str, str]], bytes
         name, sep, value = line.partition(":")
         if sep:
             headers.append((name.strip(), value.strip()))
-    return status, headers, block[head_end + sep_len :]
+    return status, headers, block[head_end.end() :]
 
 
 def decode_payload(headers: list[tuple[str, str]], payload: bytes) -> bytes:

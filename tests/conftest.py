@@ -43,7 +43,9 @@ def write_warc(
     Each page dict: url, body (str or bytes), and optional date_iso,
     status, media_type. A page with ``http_headers`` (a list of raw
     header lines) gets a 200 response whose head holds exactly those
-    lines, and its body is stored as given, coded or not.
+    lines, and its body is stored as given, coded or not. A page with
+    ``http_head`` (raw bytes, its line ends and empty line included)
+    gets exactly that head before its body.
     """
     with WarcWriter(path, compress=compress) as writer:
         for i, page in enumerate(pages):
@@ -53,7 +55,11 @@ def write_warc(
             record_id = f"urn:uuid:00000000-0000-0000-0000-{i:012d}"
             date_iso = page.get("date_iso", "2011-03-05T12:00:00Z")
             if "http_headers" in page:
-                record = _raw_response(page["url"], date_iso, page["http_headers"], body, record_id)
+                http_head = b"".join(line + b"\r\n" for line in page["http_headers"])
+                http_head = b"HTTP/1.1 200 OK\r\n" + http_head + b"\r\n"
+                record = _raw_response(page["url"], date_iso, http_head + body, record_id)
+            elif "http_head" in page:
+                record = _raw_response(page["url"], date_iso, page["http_head"] + body, record_id)
             else:
                 record = build_response_record(
                     page["url"],
@@ -67,11 +73,7 @@ def write_warc(
     return path
 
 
-def _raw_response(
-    url: str, date_iso: str, http_headers: list[bytes], body: bytes, record_id: str
-) -> bytes:
-    block = b"HTTP/1.1 200 OK\r\n" + b"".join(line + b"\r\n" for line in http_headers)
-    block += b"\r\n" + body
+def _raw_response(url: str, date_iso: str, block: bytes, record_id: str) -> bytes:
     warc_head = (
         f"WARC/1.0\r\nWARC-Type: response\r\nWARC-Record-ID: <{record_id}>\r\n"
         f"WARC-Date: {date_iso}\r\nWARC-Target-URI: {url}\r\n"

@@ -731,6 +731,42 @@ class TestPayloadCodings:
             assert warc.find_header(document.headers, "Content-Encoding") is None
             assert document.body == PAGE
 
+    @pytest.mark.parametrize(
+        "http_head, body",
+        [
+            # The head ends at the first empty line, not at the body's first CRLF one.
+            (
+                b"HTTP/1.1 200 OK\nContent-Type: text/html\n\n",
+                b"<html><title>T</title>\r\n\r\n<p>body</p>",
+            ),
+            # LF then CRLF is an empty line too.
+            (b"HTTP/1.1 200 OK\r\nContent-Type: text/html\n\r\n", b"<p>x</p>"),
+        ],
+        ids=["bare-lf-head-before-a-crlf-body", "lf-then-crlf"],
+    )
+    def test_the_head_ends_at_its_first_empty_line(self, tmp_path, http_head, body):
+        page = {"url": "http://a.test/1", "http_head": http_head, "body": body}
+        path = write_warc(tmp_path / "a.warc.gz", [page])
+        summary = build_index([path], tmp_path / "index.cdx")
+        assert summary.record_count == 1
+        index = ArchiveIndex.open(tmp_path / "index.cdx")
+        document = fetch_document(index, index.resolve_snapshots("http://a.test/1")[0])
+        assert document.headers == [("Content-Type", "text/html")]
+        assert document.body == body
+
+    def test_a_head_that_never_ends_or_is_not_http_is_left_out(self, tmp_path):
+        heads = [
+            b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n",  # no empty line
+            b"ICY 200 OK\r\nContent-Type: text/html\r\n\r\n",
+        ]
+        pages = [
+            {"url": f"http://a.test/{i}", "http_head": head, "body": b""}
+            for i, head in enumerate(heads)
+        ]
+        summary = build_index([write_warc(tmp_path / "a.warc.gz", pages)], tmp_path / "index.cdx")
+        assert summary.record_count == 0
+        assert summary.left_out["bad HTTP head"] == 2
+
 
 class TestWriteCollection:
     def _indexed(self, tmp_path, pages):

@@ -140,6 +140,26 @@ def test_failed_eval_rerun_leaves_every_previous_output(inputs, tmp_path, monkey
     assert _files(out) == before
 
 
+def test_eval_rerun_that_cannot_read_a_record_leaves_every_previous_output(
+    inputs, tmp_path, monkeypatch, capsys
+):
+    out = tmp_path / "eval"
+    assert main(["eval", *inputs, "--checkpoint", "10", "--out", str(out)]) == 0
+    before = _files(out)
+    assert sorted(before) == EVAL_OUTPUTS
+
+    def unreadable(path, offset, length):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(warc, "read_record_span", unreadable)
+    capsys.readouterr()
+    assert main(["eval", *inputs, "--checkpoint", "7", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [Errno 13] Permission denied: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert _files(out) == before
+
+
 def test_every_file_write_goes_through_replacing():
     source = Path(cli.__file__).parent
     pattern = re.compile(r'write_text|write_bytes|os\.replace|open\([^)]*"[wax]')

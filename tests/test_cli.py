@@ -357,8 +357,9 @@ def test_out_below_a_regular_file_is_one_error_line(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["crawl", "eval"])
 def test_unreadable_snapshot_in_a_crawl_is_one_error_line(
-    archive_dir, spec_path, tmp_path, monkeypatch, capsys
+    command, archive_dir, spec_path, tmp_path, monkeypatch, capsys
 ):
     import eventcrawl.warc as warc
 
@@ -370,7 +371,7 @@ def test_unreadable_snapshot_in_a_crawl_is_one_error_line(
 
     monkeypatch.setattr(warc, "read_record_span", unreadable)
     out_dir = tmp_path / "out"
-    argv = ["crawl", "--spec", str(spec_path), "--index", str(index_path), "--out", str(out_dir)]
+    argv = [command, "--spec", str(spec_path), "--index", str(index_path), "--out", str(out_dir)]
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -7,7 +7,13 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eventcrawl.archive import ArchiveIndex, ArchivedDocument, SnapshotRecord, build_index
+from eventcrawl.archive import (
+    ArchiveIndex,
+    ArchivedDocument,
+    SnapshotRecord,
+    build_index,
+    fetch_document,
+)
 from eventcrawl.crawler import (
     CrawlStrategy,
     Frontier,
@@ -27,6 +33,7 @@ from eventcrawl.spec import (
 from eventcrawl.text import IdfDictionary
 from eventcrawl.timeutil import parse_ts14
 from eventcrawl.urlnorm import CanonicalizationError, canonicalize_url
+from eventcrawl.warc import MalformedRecord
 
 from conftest import page_html, write_warc
 from oracles import reference_bfs, reference_crawl, select_snapshot_oracle
@@ -429,6 +436,28 @@ class TestRunCrawl:
             actions = {t.url: t.action for t in result.trace}
             assert actions["http://e.de/r1"] == "skip"
 
+    def test_snapshot_past_the_end_of_a_truncated_warc_is_skipped(self, tmp_path, event_scope):
+        pages = [
+            {"url": "http://e.de/seed", "body": page_html("alpha", ["/r1"])},
+            {"url": "http://e.de/r1", "body": page_html("beta")},
+        ]
+        warc_path = write_warc(tmp_path / "a.warc.gz", pages)
+        build_index([warc_path], tmp_path / "index.cdx")
+        index = ArchiveIndex.open(tmp_path / "index.cdx")
+        # Cut the file inside the last record's span, after indexing.
+        snapshot = index.resolve_snapshots("http://e.de/r1")[0]
+        with open(warc_path, "r+b") as handle:
+            handle.truncate(snapshot.offset + snapshot.length - 1)
+        with pytest.raises(MalformedRecord, match="record span extends past end of file"):
+            fetch_document(index, snapshot)
+        spec = make_spec(["http://e.de/seed"], event_scope)
+        result = run_crawl(spec, index, CrawlStrategy.UNFOCUSED, idf=IDF)
+        assert result.missing == {"http://e.de/r1"}
+        assert [(t.url, t.action) for t in result.trace] == [
+            ("http://e.de/seed", "fetch"),
+            ("http://e.de/r1", "skip"),
+        ]
+
     def test_body_in_a_coding_it_cannot_decode_is_skipped(self, tmp_path, event_scope):
         pages = [
             {"url": "http://e.de/seed", "body": page_html("alpha", ["/br", "/r1"])},
@@ -459,6 +488,31 @@ class TestRunCrawl:
         )
         assert result.fetched_urls == expected_order
         assert result.missing == expected_missing
+
+    def test_german_spec_scores_with_the_german_analyzer(self, tmp_path, event_scope):
+        pages = [
+            {"url": "http://e.de/seed", "body": page_html("Hochwasser der Elbe", ["/a", "/b"])},
+            {"url": "http://e.de/a", "body": page_html("Die Wahlen zum Bundestag")},
+            {"url": "http://e.de/b", "body": page_html("Die Überschwemmung der Elbe")},
+        ]
+        build_index([write_warc(tmp_path / "a.warc.gz", pages)], tmp_path / "index.cdx")
+        index = ArchiveIndex.open(tmp_path / "index.cdx")
+        reference = ReferenceDocument("inline", "Überschwemmungen an der Elbe")
+        spec = CollectionSpecification(
+            name="hochwasser",
+            topical=TopicalScope(reference_documents=(reference,), language="de"),
+            temporal=event_scope,
+            seeds=("http://e.de/seed",),
+        )
+        result = run_crawl(spec, index, CrawlStrategy.CONTENT_FOCUSED, idf=IDF)
+        # "Überschwemmung" and "Überschwemmungen" share the stem "uberschwemmung";
+        # "an" and "der" are stop words, so /b's terms are the reference's.
+        topical = {item.snapshot.canonical_url: item.score.topical for item in result.collection}
+        assert topical == {
+            "http://e.de/seed": pytest.approx(0.19245008972987523),
+            "http://e.de/a": 0.0,
+            "http://e.de/b": pytest.approx(1.0),
+        }
 
 
 def test_trace_csv_quotes_a_url_with_a_comma(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from eventcrawl.archive import ArchiveIndex, build_index
@@ -11,6 +13,7 @@ from eventcrawl.evalharness import (
     run_comparison,
     spec_for_ground_truth,
 )
+from eventcrawl.spec import ReferenceDocument
 
 
 def config_for(scope, **overrides):
@@ -135,23 +138,48 @@ class TestRunComparison:
         run = report.runs[0]
         assert run.urls_considered == run.fetched + run.missing + run.queued_at_end
 
-    def test_failing_strategy_isolated(self, small_comparison, monkeypatch):
+    def test_unresolvable_reference_is_every_runs_error_and_resolved_once(
+        self, small_comparison, monkeypatch
+    ):
+        import eventcrawl.crawler as crawler
+
         spec, index, _ = small_comparison
+        absent = ReferenceDocument("archive-url", "http://archive.test/absent")
+        spec = replace(spec, topical=replace(spec.topical, reference_documents=(absent,)))
+        calls = []
+        real = crawler.build_reference_vector
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(crawler, "build_reference_vector", counting)
+        report = run_comparison(spec, index, list(CrawlStrategy), 10)
+        assert len(calls) == 1
+        error = "unresolvable reference document: 'http://archive.test/absent' not in archive"
+        assert [(run.strategy, run.error) for run in report.runs] == [
+            (strategy, error) for strategy in CrawlStrategy
+        ]
+        assert all(run.checkpoints == [] and run.urls_considered == 0 for run in report.runs)
+
+    def test_any_other_error_ends_the_comparison(self, small_comparison, monkeypatch):
         import eventcrawl.evalharness as harness
 
+        spec, index, _ = small_comparison
         real = harness.run_crawl
+        crawled = []
 
         def flaky(spec_, index_, strategy, **kwargs):
+            crawled.append(strategy)
             if strategy is CrawlStrategy.TIME_FOCUSED:
                 raise RuntimeError("boom")
             return real(spec_, index_, strategy, **kwargs)
 
         monkeypatch.setattr(harness, "run_crawl", flaky)
-        report = run_comparison(
-            spec, index, [CrawlStrategy.TIME_FOCUSED, CrawlStrategy.COMBINED], 10
-        )
-        assert report.runs[0].error == "boom"
-        assert report.runs[1].error is None and report.runs[1].fetched == 100
+        strategies = [CrawlStrategy.TIME_FOCUSED, CrawlStrategy.COMBINED]
+        with pytest.raises(RuntimeError, match="boom"):
+            run_comparison(spec, index, strategies, 10)
+        assert crawled == [CrawlStrategy.TIME_FOCUSED]
 
     def test_strategies_fetch_each_snapshot_once(self, small_comparison, monkeypatch):
         import eventcrawl.crawler as crawler

@@ -1,11 +1,12 @@
+import gzip
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from eventcrawl.archive import ArchivedDocument, SnapshotRecord
+from eventcrawl.archive import ArchiveIndex, ArchivedDocument, SnapshotRecord, build_index
 from eventcrawl.spec import ReferenceDocument, TopicalScope
-from eventcrawl.stem import porter_stem
+from eventcrawl.stem import german_light_stem, porter_stem
 from eventcrawl.text import (
     IdfDictionary,
     KeywordBoost,
@@ -16,9 +17,12 @@ from eventcrawl.text import (
     build_reference_vector,
     keyword_token_set,
     load_idf_dictionary,
+    resolve_reference_texts,
     save_idf_dictionary,
     vectorize,
 )
+
+from conftest import write_warc
 
 
 def make_document(body: str) -> ArchivedDocument:
@@ -85,6 +89,16 @@ def test_porter_stems_are_pinned():
     assert {word: porter_stem(word) for word in PORTER_STEMS} == PORTER_STEMS
 
 
+GERMAN_STEMS = {
+    "häuser": "haus", "wahlen": "wahl", "städte": "stadt", "straße": "strass",
+    "größten": "grosst", "kindern": "kind", "überschwemmungen": "uberschwemmung",
+}
+
+
+def test_german_stems_are_pinned():
+    assert {word: german_light_stem(word) for word in GERMAN_STEMS} == GERMAN_STEMS
+
+
 class TestAnalyze:
     def test_stems_and_removes_stopwords(self):
         assert analyze("The elections were held", "en") == ["elect", "held"]
@@ -94,6 +108,10 @@ class TestAnalyze:
 
     def test_stopword_only_input(self):
         assert analyze("the and of was", "en") == []
+
+    def test_german_text(self):
+        text = "Die Überschwemmungen in den Städten an der Elbe und die Wahlen zum Bundestag"
+        assert analyze(text, "de") == ["uberschwemmung", "stadt", "elb", "wahl", "bundestag"]
 
     def test_unknown_language_raises(self):
         with pytest.raises(ValueError, match="unknown language"):
@@ -331,3 +349,21 @@ class TestReferenceResolution:
         )
         with pytest.raises(ValueError, match="archive index"):
             build_reference_vector(scope, _FixedIdf({}))
+
+    def test_archive_url_reference_is_the_decoded_page_text(self, tmp_path):
+        html = b"<html><body><p>Archived flood report</p></body></html>"
+        page = {
+            "url": "http://e.de/report",
+            "http_headers": [b"Content-Type: text/html; charset=utf-8", b"Content-Encoding: gzip"],
+            "body": gzip.compress(html, mtime=0),
+        }
+        build_index([write_warc(tmp_path / "a.warc.gz", [page])], tmp_path / "index.cdx")
+        scope = TopicalScope(
+            reference_documents=(
+                ReferenceDocument("archive-url", "HTTP://E.DE/report"),
+                ReferenceDocument("inline", "river"),
+            ),
+            language="none",
+        )
+        index = ArchiveIndex.open(tmp_path / "index.cdx")
+        assert resolve_reference_texts(scope, index=index) == ["Archived flood report", "river"]

@@ -298,7 +298,7 @@ _FIELDS_NEAR_RANGE = st.tuples(
 @example("20110307120000\n")
 @example("\u0662\u0660\u0661\u06610307120000")
 def test_ts14_pattern_accepts_what_parse_ts14_accepts(value):
-    # The index line grammar embeds the pattern, so the open of an index
-    # checks its timestamps without parsing them.
+    # parse_ts14 checks the pattern, which the index line grammar embeds,
+    # and then builds the datetime: that must not refuse what the pattern takes.
     accepted = _TS14.fullmatch(value) is not None
     assert accepted == (_parse_ts14_or_error(value) is not ValueError)

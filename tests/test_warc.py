@@ -155,6 +155,29 @@ def test_content_length_past_end_of_file_is_reported_not_read(tmp_path):
     assert [r.target_uri for r in records] == ["http://e.de/1"]
 
 
+@pytest.mark.parametrize(
+    "prefix, compress, message",
+    [
+        (b"-", True, "bad Content-Length"),
+        (b"-", False, "bad Content-Length"),
+        # A plain record this long runs past the end of the file, tested above.
+        (b"9", True, "record block truncated"),
+    ],
+    ids=["negative-gzip", "negative-plain", "gzip-block-shorter"],
+)
+def test_content_length_that_does_not_fit_the_block_is_reported(
+    tmp_path, prefix, compress, message
+):
+    # The prefix goes before the digits of the WARC header's Content-Length.
+    bad = _record(1, b"one").replace(b"Content-Length: ", b"Content-Length: " + prefix, 1)
+    path = tmp_path / "h.warc.gz"
+    path.write_bytes((gzip_member(bad) if compress else bad) + gzip_member(_record(2, b"two")))
+    error, *records = iter_raw_records(path)
+    assert isinstance(error, MalformedRecord) and error.offset == 0
+    assert str(error).startswith(message)
+    assert [r.target_uri for r in records] == ["http://e.de/2"]
+
+
 # Byte strings that the reader searches for or that end its parsing early.
 _FRAGMENTS = st.sampled_from(
     [

@@ -4,12 +4,12 @@ Subcommands: ``index`` (build the URL lookup index from WARC files),
 ``crawl`` (run one focused extraction), ``eval`` (compare strategies),
 ``validate`` (check a spec file), ``gen`` (create a synthetic archive).
 
-Exit codes: 0 success, 1 validation failure, 2 usage error or a file that
-cannot be read or written, 3 an ``eval`` whose reference documents
-cannot be resolved (each strategy's line reports the error). Any other
-error ends a command, ``eval`` as ``crawl``, with one line on stderr,
-never a traceback. All outputs are deterministic given identical inputs
-and seeds.
+Exit codes: 0 success, 1 validation failure, 2 usage error, a bad value
+or a file that cannot be read or written, 3 an ``eval`` whose reference
+documents cannot be resolved (each strategy's line reports the error and
+nothing is written). Any other error ends a command, ``eval`` as
+``crawl``, with one line on stderr, never a traceback. All outputs are
+deterministic given identical inputs and seeds.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
     except _Exit as exc:
         print(exc, file=sys.stderr)
         return exc.code
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -159,10 +159,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     warc_paths = sorted(p for p in warc_dir.iterdir() if p.suffix in (".warc", ".gz"))
     if not warc_paths:
         print(f"warning: no WARC files found in {warc_dir}", file=sys.stderr)
-    try:
-        summary = build_index(warc_paths, args.index)
-    except ValueError as exc:
-        raise _Exit(EXIT_USAGE, f"error: {exc}") from exc
+    summary = build_index(warc_paths, args.index)
     print(
         f"indexed {summary.record_count} records for {summary.url_count} URLs "
         f"({summary.skipped} skipped) -> {args.index}"
@@ -199,10 +196,7 @@ def _load_inputs(args: argparse.Namespace):
 
 
 def cmd_crawl(args: argparse.Namespace) -> int:
-    try:
-        strategy = CrawlStrategy.from_name(args.strategy)
-    except ValueError as exc:
-        raise _Exit(EXIT_USAGE, f"error: {exc}") from exc
+    strategy = CrawlStrategy.from_name(args.strategy)
     spec, index, idf = _load_inputs(args)
     # Resolves the reference documents, so a bad one stops the crawl before any write.
     try:
@@ -233,27 +227,26 @@ def cmd_crawl(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.checkpoint < 1:
         raise _Exit(EXIT_USAGE, "error: checkpoint must be positive")
-    if args.strategy.strip().lower() == "all":
-        strategies = list(CrawlStrategy)
-    else:
-        try:
-            strategies = [
-                CrawlStrategy.from_name(name) for name in args.strategy.split(",")
-            ]
-        except ValueError as exc:
-            raise _Exit(EXIT_USAGE, f"error: {exc}") from exc
+    strategies = (
+        list(CrawlStrategy)
+        if args.strategy.strip().lower() == "all"
+        else [CrawlStrategy.from_name(name) for name in args.strategy.split(",")]
+    )
     spec, index, idf = _load_inputs(args)
     report = run_comparison(spec, index, strategies, args.checkpoint, idf=idf)
+    # An unresolvable reference fails every run before any crawl; the previous CSVs stay.
+    if any(run.error for run in report.runs):
+        for run in report.runs:
+            print(f"{run.strategy.value}: ERROR: {run.error}")
+        return EXIT_PARTIAL
     series_path, summary_path = write_report_csvs(report, args.out)
-    failed = [run for run in report.runs if run.error]
     for run in report.runs:
-        status = f"ERROR: {run.error}" if run.error else (
-            f"accumulated {run.final_accumulated:.3f}, "
+        print(
+            f"{run.strategy.value}: accumulated {run.final_accumulated:.3f}, "
             f"{run.urls_considered} URLs considered"
         )
-        print(f"{run.strategy.value}: {status}")
     print(f"series: {series_path}\nsummary: {summary_path}")
-    return EXIT_PARTIAL if failed else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -266,27 +259,23 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        scope = TemporalScope(
-            event_start=parse_iso8601(args.event_start),
-            event_end=parse_iso8601(args.event_end, end_of_day=True),
-            lead_time=parse_duration(args.lead),
-            cool_down_time=parse_duration(args.cool_down),
-        )
-        config = SyntheticArchiveConfig(
-            page_count=args.pages,
-            relevant_fraction=args.relevant_fraction,
-            topical_locality=args.locality,
-            event_scope=scope,
-            capture_time_spread=parse_duration(args.spread),
-            random_seed=args.seed,
-            omit_fraction=args.omit_fraction,
-            decoy_fraction=args.decoy_fraction,
-            separator_keyword=args.keyword,
-        )
-    except ValueError as exc:
-        raise _Exit(EXIT_USAGE, f"error: {exc}") from exc
-
+    scope = TemporalScope(
+        event_start=parse_iso8601(args.event_start),
+        event_end=parse_iso8601(args.event_end, end_of_day=True),
+        lead_time=parse_duration(args.lead),
+        cool_down_time=parse_duration(args.cool_down),
+    )
+    config = SyntheticArchiveConfig(
+        page_count=args.pages,
+        relevant_fraction=args.relevant_fraction,
+        topical_locality=args.locality,
+        event_scope=scope,
+        capture_time_spread=parse_duration(args.spread),
+        random_seed=args.seed,
+        omit_fraction=args.omit_fraction,
+        decoy_fraction=args.decoy_fraction,
+        separator_keyword=args.keyword,
+    )
     warc_paths, truth = generate_archive(config, args.out)
     spec = spec_for_ground_truth(
         truth, scope, target_size=args.target_size, use_keyword=bool(args.keyword)

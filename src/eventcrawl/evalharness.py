@@ -28,7 +28,7 @@ from .spec import (
     TopicalScope,
 )
 from .text import IdfDictionary
-from .timeutil import format_iso, format_ts14, parse_ts14
+from .timeutil import format_iso, format_ts14, parse_ts14, to_epoch
 from .warc import WarcWriter
 
 __all__ = [
@@ -77,8 +77,18 @@ class SyntheticArchiveConfig:
             raise ValueError("relevant_fraction must be in (0, 1)")
         if not 0.0 <= self.topical_locality <= 1.0:
             raise ValueError("topical_locality must be in [0, 1]")
-        if self.relevant_fraction + self.decoy_fraction >= 1.0:
+        if not 0.0 <= self.decoy_fraction < 1.0:
+            raise ValueError("decoy_fraction must be in [0, 1)")
+        if not 0.0 <= self.omit_fraction <= 1.0:
+            raise ValueError("omit_fraction must be in [0, 1]")
+        pages = self.page_count
+        if round(pages * self.relevant_fraction) + round(pages * self.decoy_fraction) >= pages:
             raise ValueError("relevant + decoy fractions must leave room for background")
+        # Capture epochs, truncated, become datetimes; NaN and infinity fail the comparisons.
+        low = self.event_scope.start_epoch - self.capture_time_spread
+        high = self.event_scope.end_epoch + self.capture_time_spread
+        if not to_epoch(datetime.min) <= low <= high < to_epoch(datetime.max):
+            raise ValueError("capture window must lie within years 1-9999 UTC")
 
 
 @dataclass(frozen=True)

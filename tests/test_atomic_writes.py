@@ -1,5 +1,6 @@
 """Every output file is replaced whole: a failed write leaves the previous file."""
 
+import json
 import re
 from pathlib import Path
 
@@ -81,7 +82,7 @@ def inputs(tmp_path):
 
 
 @pytest.mark.parametrize("records_before_failure", [0, 1, 15])
-@pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+@pytest.mark.parametrize("error", [OSError, KeyboardInterrupt, ValueError])
 def test_failed_crawl_rerun_leaves_every_previous_output(
     inputs, tmp_path, monkeypatch, capsys, records_before_failure, error
 ):
@@ -103,12 +104,12 @@ def test_failed_crawl_rerun_leaves_every_previous_output(
     rerun = ["crawl", *inputs, "--strategy", "unfocused", "--out", str(out)]
     monkeypatch.setattr(warc.WarcWriter, "write_record_bytes", fail_after_n_records)
     capsys.readouterr()
-    if error is OSError:
-        assert main(rerun) == 2
-        assert capsys.readouterr().err == "error: injected write failure\n"
-    else:
+    if error is KeyboardInterrupt:
         with pytest.raises(error):
             main(rerun)
+    else:
+        assert main(rerun) == 2
+        assert capsys.readouterr().err == "error: injected write failure\n"
     assert len(written) == records_before_failure
     assert _files(out) == before
 
@@ -140,8 +141,16 @@ def test_failed_eval_rerun_leaves_every_previous_output(inputs, tmp_path, monkey
     assert _files(out) == before
 
 
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (PermissionError(13, "Permission denied", "pages.warc.gz"), "[Errno 13] Permission denied: "),
+        (ValueError("injected bad value"), "injected bad value"),
+    ],
+    ids=["PermissionError", "ValueError"],
+)
 def test_eval_rerun_that_cannot_read_a_record_leaves_every_previous_output(
-    inputs, tmp_path, monkeypatch, capsys
+    inputs, tmp_path, monkeypatch, capsys, error, message
 ):
     out = tmp_path / "eval"
     assert main(["eval", *inputs, "--checkpoint", "10", "--out", str(out)]) == 0
@@ -149,14 +158,38 @@ def test_eval_rerun_that_cannot_read_a_record_leaves_every_previous_output(
     assert sorted(before) == EVAL_OUTPUTS
 
     def unreadable(path, offset, length):
-        raise PermissionError(13, "Permission denied", str(path))
+        raise error
 
     monkeypatch.setattr(warc, "read_record_span", unreadable)
     capsys.readouterr()
     assert main(["eval", *inputs, "--checkpoint", "7", "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: [Errno 13] Permission denied: ")
+    assert captured.err.startswith(f"error: {message}")
     assert captured.err.count("\n") == 1 and captured.out == ""
+    assert _files(out) == before
+
+
+def test_refused_eval_rerun_leaves_every_previous_output(inputs, tmp_path, capsys):
+    out = tmp_path / "eval"
+    assert main(["eval", *inputs, "--checkpoint", "10", "--out", str(out)]) == 0
+    before = _files(out)
+    assert sorted(before) == EVAL_OUTPUTS
+
+    spec_path = Path(inputs[1])
+    body = json.loads(spec_path.read_text(encoding="utf-8"))
+    body["topical"]["reference_documents"] = [
+        {"kind": "archive-url", "value": "http://archive.test/absent"}
+    ]
+    refused = tmp_path / "refused.json"
+    refused.write_text(json.dumps(body), encoding="utf-8")
+    argv = ["eval", "--spec", str(refused), *inputs[2:], "--checkpoint", "10", "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["unfocused", "c-f", "t-f", "ct-f"]
+    assert all(": ERROR: unresolvable reference document" in line for line in lines)
+    assert captured.err == ""
     assert _files(out) == before
 
 

@@ -380,6 +380,26 @@ def test_unreadable_snapshot_in_a_crawl_is_one_error_line(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--pages", "10", "--relevant-fraction", "0.96"], "leave room for background"),
+        (
+            ["--event-start", "0001-01-02", "--event-end", "0001-01-03", "--spread", "1000y"],
+            "capture window must lie within years 1-9999 UTC",
+        ),
+        (["--spread", "9" * 400], "capture window must lie within years 1-9999 UTC"),
+    ],
+    ids=["no-background-page", "window-before-year-1", "infinite-spread"],
+)
+def test_gen_refuses_what_it_cannot_generate(flags, message, tmp_path, capsys):
+    out = tmp_path / "gen"
+    assert main(["gen", "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
 class TestValidateCommand:
     def test_valid_spec(self, spec_path, capsys):
         assert main(["validate", "--spec", str(spec_path)]) == 0

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from datetime import datetime, timezone
 
 import pytest
 
@@ -13,7 +14,9 @@ from eventcrawl.evalharness import (
     run_comparison,
     spec_for_ground_truth,
 )
-from eventcrawl.spec import ReferenceDocument
+from eventcrawl.spec import ReferenceDocument, TemporalScope
+
+_LAST_MICROSECOND = datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=timezone.utc)
 
 
 def config_for(scope, **overrides):
@@ -92,6 +95,43 @@ class TestGenerateArchive:
             assert "krizzle" not in tokens_of(url)
         for url in sorted(truth.urls_with_label("relevant"))[:10]:
             assert "krizzle" in tokens_of(url)
+
+    def test_a_window_at_the_ends_of_the_calendar_is_generated(self, tmp_path, event_scope):
+        scope = replace(
+            event_scope,
+            event_start=datetime(1, 1, 1, tzinfo=timezone.utc),
+            event_end=datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc),
+        )
+        config = config_for(scope, page_count=10, capture_time_spread=0.0)
+        _, truth = generate_archive(config, tmp_path)
+        assert len(truth.capture_times) == 11
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(page_count=10, relevant_fraction=0.5, decoy_fraction=0.46), "leave room"),
+            (dict(decoy_fraction=float("nan")), "decoy_fraction must be in"),
+            (dict(decoy_fraction=-0.1), "decoy_fraction must be in"),
+            (dict(omit_fraction=float("nan")), "omit_fraction must be in"),
+            (dict(omit_fraction=float("inf")), "omit_fraction must be in"),
+            (dict(capture_time_spread=float("nan")), "capture window"),
+            (dict(event_scope=TemporalScope(_LAST_MICROSECOND, _LAST_MICROSECOND)), "capture window"),
+        ],
+        ids=[
+            "rounded-to-no-background-page",
+            "nan-decoy",
+            "negative-decoy",
+            "nan-omit",
+            "infinite-omit",
+            "nan-spread",
+            "window-after-9999",
+        ],
+    )
+    def test_config_refuses_what_the_generator_cannot_honour(
+        self, event_scope, overrides, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            config_for(event_scope, **overrides)
 
 
 @pytest.fixture

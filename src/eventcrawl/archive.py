@@ -50,7 +50,9 @@ logger = logging.getLogger(__name__)
 
 # An index line as to_line writes it, in a file read with universal
 # newlines. Only the warc_file may hold a space; integers have no sign,
-# underscore or leading zero. Groups: the line, its URL and its warc_file.
+# underscore or leading zero. The URL is printable ASCII, as canonicalize_url
+# writes it, so an index whose keys were written raw is refused, not missed.
+# Groups: the line, its URL and its warc_file.
 # The warc_file is read one space-free word at a time, and the four-field
 # tail is tried only where a space starts, so a line is read once, left to
 # right. No tail field holds a space, so only one split of a line can
@@ -58,7 +60,7 @@ logger = logging.getLogger(__name__)
 _INT = "(?:0|[1-9][0-9]*)"
 _WORDS = r"[^ \r\n]*(?: [^ \r\n]*)*?"
 _INDEX_LINE = re.compile(
-    rf"(?m)^(([^ \r\n]*) {TS14_PATTERN} ({_WORDS}) {_INT} {_INT} {_INT} [^ \r\n]*)$"
+    rf"(?m)^(([!-~]*) {TS14_PATTERN} ({_WORDS}) {_INT} {_INT} {_INT} [^ \r\n]*)$"
 )
 
 

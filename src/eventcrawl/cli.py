@@ -26,6 +26,7 @@ from .archive import ArchiveIndex, build_index, fetch_document, write_collection
 from .archive import open_replacing, write_csv
 from .crawler import CrawlStrategy, SnapshotAnalysis, run_crawl, write_trace
 from .evalharness import (
+    GroundTruth,
     SyntheticArchiveConfig,
     generate_archive,
     run_comparison,
@@ -38,6 +39,7 @@ from .spec import (
     TemporalScope,
     parse_spec_file,
     serialize_spec,
+    validate_spec,
 )
 from .text import load_idf_dictionary
 from .timeutil import parse_duration, parse_iso8601
@@ -265,6 +267,21 @@ def cmd_gen(args: argparse.Namespace) -> int:
         lead_time=parse_duration(args.lead),
         cool_down_time=parse_duration(args.cool_down),
     )
+
+    def spec_for(truth: GroundTruth):
+        return spec_for_ground_truth(
+            truth, scope, target_size=args.target_size, use_keyword=bool(args.keyword)
+        )
+
+    # Refuse a spec that validate would refuse before anything is written. The
+    # generator's seed and reference are valid, so a stand-in checks the flags.
+    stand_in = GroundTruth(
+        {}, frozenset(), {}, seeds=("http://archive.test/",), reference_text="text",
+        separator_keyword=args.keyword,
+    )
+    problems = validate_spec(spec_for(stand_in))
+    if problems:
+        raise ValueError(str(problems[0]))
     config = SyntheticArchiveConfig(
         page_count=args.pages,
         relevant_fraction=args.relevant_fraction,
@@ -277,9 +294,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         separator_keyword=args.keyword,
     )
     warc_paths, truth = generate_archive(config, args.out)
-    spec = spec_for_ground_truth(
-        truth, scope, target_size=args.target_size, use_keyword=bool(args.keyword)
-    )
+    spec = spec_for(truth)
     spec_path = Path(args.out) / "spec.json"
     with open_replacing(spec_path) as handle:
         handle.write(serialize_spec(spec))

@@ -1,13 +1,16 @@
 """URL canonicalization for index keys and crawl seen-set identity.
 
 Canonical form: lowercase scheme/host (an IP-literal host keeps its
-brackets, which may hold only an IPv6 address or an IPvFuture), no
-fragment, no default port, query string preserved verbatim
+brackets, which may hold only an IPv6 address, with an optional zone ID,
+or an IPvFuture), each non-ASCII host label as ``xn--`` plus its
+punycode, no fragment, no default port, query string preserved in order
 (parameter order kept to avoid aliasing distinct archived resources),
-percent-escapes of unreserved characters decoded, and the space and
-every unprintable character percent-encoded as UTF-8, so that a
-canonical URL is one space-free line of text. Only http/https URLs are
-considered crawlable.
+percent-escapes of unreserved characters decoded, every other escape's
+hex in uppercase (RFC 3986 §6.2.2), and each character outside printable
+ASCII (``!``-``~``) percent-encoded as UTF-8, as the WHATWG path
+percent-encode set does above ``~``. A canonical URL is therefore one
+line of printable ASCII, and no rule reads the running interpreter's
+Unicode database. Only http/https URLs are considered crawlable.
 """
 
 from __future__ import annotations
@@ -24,32 +27,41 @@ _UNRESERVED = set(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-._~"
 )
 
-_PCT_RE = re.compile(r"%([0-9A-Fa-f]{2})")
+# One rule for a path or a query: an escape, or a run of characters outside
+# printable ASCII.
+_ESCAPE_OR_UNSAFE_RE = re.compile(r"%([0-9A-Fa-f]{2})|[^!-~]+")
+
+# A host may not hold an ASCII control or the space, nor a character of
+# stringprep tables C.1.2 and C.2.2 (non-ASCII spaces and controls) or C.5
+# (surrogates, which UTF-8 cannot encode). The stdlib freezes those tables
+# at Unicode 3.2, so the class is written out.
+_HOST_REFUSED_RE = re.compile(
+    "[\x00-\x20\x7f-\xa0\u06dd\u070f\u1680\u180e\u2000-\u200d\u2028\u2029\u202f"
+    "\u205f-\u2063\u206a-\u206f\u3000\ud800-\udfff\ufeff\ufff9-\ufffc"
+    "\U0001d173-\U0001d17a]"
+)
 
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 
-# A host and port whose host is an IP literal, and an IPvFuture (RFC 3986 §3.2.2).
+# A host and port whose host is an IP literal; an IPvFuture (unreserved,
+# sub-delims and ":", RFC 3986 §3.2.2); and an IPv6 zone ID (unreserved and
+# escapes, RFC 6874). So an accepted IP literal is ASCII.
 _IP_LITERAL_RE = re.compile(r"\[([^\[\]]*)\](?::[^\[\]]*)?")
-_IPV_FUTURE_RE = re.compile(r"v[0-9A-Fa-f]+\..+")
+_IPV_FUTURE_RE = re.compile(r"v[0-9A-Fa-f]+\.[A-Za-z0-9\-._~!$&'()*+,;=:]+")
+_ZONE_ID_RE = re.compile(r"(?:[A-Za-z0-9\-._~]|%[0-9A-Fa-f]{2})+")
 
 
 class CanonicalizationError(ValueError):
     """Raised for URLs that cannot be turned into a canonical crawl key."""
 
 
-def _decode_unreserved(component: str) -> str:
-    def repl(match: re.Match[str]) -> str:
-        char = chr(int(match.group(1), 16))
-        return char if char in _UNRESERVED else match.group(0)
-
-    return _PCT_RE.sub(repl, component)
-
-
-def _encode_unsafe(component: str) -> str:
-    """Percent-encode the space and every unprintable character as UTF-8."""
-    if component.isprintable() and " " not in component:
-        return component
-    return "".join(c if c.isprintable() and c != " " else quote(c) for c in component)
+def _normalize(match: re.Match[str]) -> str:
+    """Decode an unreserved escape, uppercase any other, and UTF-8-encode a run."""
+    hex_digits = match.group(1)
+    if hex_digits is None:
+        return quote(match.group(0), safe="")
+    char = chr(int(hex_digits, 16))
+    return char if char in _UNRESERVED else "%" + hex_digits.upper()
 
 
 def _check_ip_literal(netloc: str, url: str) -> None:
@@ -64,9 +76,11 @@ def _check_ip_literal(netloc: str, url: str) -> None:
         raise CanonicalizationError(f"bracket outside an IP-literal host: {url!r}")
     if _IPV_FUTURE_RE.fullmatch(match.group(1)) is None:
         try:
-            ipaddress.IPv6Address(match.group(1))
+            zone = ipaddress.IPv6Address(match.group(1)).scope_id
         except ValueError:
             raise CanonicalizationError(f"invalid IP-literal host: {url!r}") from None
+        if zone is not None and _ZONE_ID_RE.fullmatch(zone) is None:
+            raise CanonicalizationError(f"invalid IP-literal host: {url!r}")
 
 
 def canonicalize_url(url: str, base: str | None = None) -> str:
@@ -74,9 +88,10 @@ def canonicalize_url(url: str, base: str | None = None) -> str:
 
     Raises :class:`CanonicalizationError` for empty or unparseable input,
     for relative references without a base, for non-http(s) schemes, for
-    hosts with a space or an unprintable character, for a path or
-    query that UTF-8 cannot encode (a lone surrogate), and for brackets
-    that do not hold an IPv6 address or an IPvFuture (``v1.x``) host.
+    hosts with a control or a space character (ASCII, or stringprep's
+    tables C.1.2 and C.2.2), for a host, path or query that UTF-8 cannot
+    encode (a lone surrogate), and for brackets that do not hold an IPv6 address
+    or an IPvFuture (``v1.x``) host in ASCII.
     """
     if not url or not url.strip():
         raise CanonicalizationError("empty URL")
@@ -103,9 +118,13 @@ def canonicalize_url(url: str, base: str | None = None) -> str:
     host = parts.hostname
     if not host:
         raise CanonicalizationError(f"URL has no host: {url!r}")
-    host = host.lower()
-    if not host.isprintable() or " " in host:
+    if _HOST_REFUSED_RE.search(host):
         raise CanonicalizationError(f"space or unprintable character in host: {url!r}")
+    if not host.isascii():
+        host = ".".join(
+            label if label.isascii() else "xn--" + label.encode("punycode").decode("ascii")
+            for label in host.split(".")
+        )
 
     try:
         port = parts.port
@@ -118,8 +137,8 @@ def canonicalize_url(url: str, base: str | None = None) -> str:
         netloc = f"{host}:{port}"
 
     try:
-        path = _encode_unsafe(_decode_unreserved(parts.path)) or "/"
-        query = _encode_unsafe(_decode_unreserved(parts.query))
+        path = _ESCAPE_OR_UNSAFE_RE.sub(_normalize, parts.path) or "/"
+        query = _ESCAPE_OR_UNSAFE_RE.sub(_normalize, parts.query)
     except UnicodeEncodeError as exc:
         raise CanonicalizationError(f"character UTF-8 cannot encode in URL: {url!r}") from exc
 

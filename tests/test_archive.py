@@ -323,7 +323,7 @@ def _index_lines(draw):
 # The index grammar before the WARC path was read word by word: a greedy
 # group takes the rest of the line and gives it back until the tail fits.
 _GREEDY_INDEX_LINE = re.compile(
-    rf"(?m)^(([^ \r\n]*) {TS14_PATTERN} ([^\r\n]*)"
+    rf"(?m)^(([!-~]*) {TS14_PATTERN} ([^\r\n]*)"
     r" (?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*) [^ \r\n]*)$"
 )
 # Text set before or after an index line: spaces, extra fields, a form

@@ -389,8 +389,19 @@ def test_unreadable_snapshot_in_a_crawl_is_one_error_line(
             "capture window must lie within years 1-9999 UTC",
         ),
         (["--spread", "9" * 400], "capture window must lie within years 1-9999 UTC"),
+        (
+            ["--event-start", "2011-03-14", "--event-end", "2011-03-01"],
+            "temporal.event_start: event_start must not be after event_end",
+        ),
+        (["--target-size", "0"], "target_size: target_size must be >= 1"),
     ],
-    ids=["no-background-page", "window-before-year-1", "infinite-spread"],
+    ids=[
+        "no-background-page",
+        "window-before-year-1",
+        "infinite-spread",
+        "reversed-event",
+        "no-target-size",
+    ],
 )
 def test_gen_refuses_what_it_cannot_generate(flags, message, tmp_path, capsys):
     out = tmp_path / "gen"

@@ -1,7 +1,9 @@
+import stringprep
+
 import pytest
 from hypothesis import example, given, strategies as st
 
-from eventcrawl.urlnorm import CanonicalizationError, canonicalize_url
+from eventcrawl.urlnorm import _HOST_REFUSED_RE, CanonicalizationError, canonicalize_url
 
 
 def test_lowercases_and_strips_default_port_and_fragment():
@@ -78,6 +80,9 @@ def test_ip_literal_host_keeps_its_brackets(url):
         ("http://a[::1]/a", None),
         ("http://[::1]a/a", None),
         ("http://u[1]@[::1]/a", None),
+        ("http://[v1.\u00fc]/a", None),
+        ("http://[v1.a\"b]/a", None),
+        ("http://[fe80::1%25\u00fc]/a", None),
     ],
 )
 def test_brackets_hold_only_an_ipv6_address_or_an_ipvfuture(url, expected):
@@ -88,11 +93,13 @@ def test_brackets_hold_only_an_ipv6_address_or_an_ipvfuture(url, expected):
         assert canonicalize_url(url) == expected
 
 
-_URL_CHARS = st.text(
-    alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJ0123456789-._~%/?=&:# \x0b\u2028",
-    min_size=0,
+_URL_CHARS = st.lists(
+    st.sampled_from(
+        [*"abcdefghijklmnopqrstuvwxyzABCDEFGHIJ0123456789-._~%/?=&:# \x0b\u2028",
+         *"\u00fc\u00df\U0001f6dc\U0001df00", "%C3%c3"]
+    ),
     max_size=30,
-)
+).map("".join)
 
 
 _IP_LITERALS = st.sampled_from(
@@ -101,7 +108,11 @@ _IP_LITERALS = st.sampled_from(
 
 
 @given(
-    host=st.one_of(st.from_regex(r"[a-z][a-z0-9]{0,10}\.[a-z]{2,3}", fullmatch=True), _IP_LITERALS),
+    host=st.one_of(
+        st.from_regex(r"[a-z][a-z0-9]{0,10}\.[a-z]{2,3}", fullmatch=True),
+        _IP_LITERALS,
+        st.sampled_from(["m\u00fcnchen.de", "stra\u00dfe.de"]),
+    ),
     rest=_URL_CHARS,
 )
 @example(host="[::1]", rest="a")
@@ -111,4 +122,46 @@ def test_canonicalize_is_idempotent(host, rest):
         once = canonicalize_url(f"http://{host}/{rest}")
     except CanonicalizationError:
         return
+    assert once.isascii()
     assert canonicalize_url(once) == once
+
+
+# Every key written out, so each Python version checks the same spelling:
+# none of them depends on the interpreter's Unicode database.
+@pytest.mark.parametrize(
+    "url, expected",
+    [
+        ("http://a.test/M\u00fcnchen", "http://a.test/M%C3%BCnchen"),
+        ("http://a.test/M%c3%bcnchen", "http://a.test/M%C3%BCnchen"),
+        ("http://a.test/M%C3%BCnchen", "http://a.test/M%C3%BCnchen"),
+        ("http://a.test/?q=M\u00fcnchen%2f%7e", "http://a.test/?q=M%C3%BCnchen%2F~"),
+        ("http://m\u00fcnchen.de/a", "http://xn--mnchen-3ya.de/a"),
+        ("http://xn--mnchen-3ya.de/a", "http://xn--mnchen-3ya.de/a"),
+        ("http://M\u00dcNCHEN.de:80/a", "http://xn--mnchen-3ya.de/a"),
+        ("http://stra\u00dfe.de/", "http://xn--strae-oqa.de/"),
+        ("http://a.test/\U0001f6dc\U0001df00", "http://a.test/%F0%9F%9B%9C%F0%9D%BC%80"),
+        ("http://[fe80::1%25eth0]/a", "http://[fe80::1%25eth0]/a"),
+        ("http://[v1.a:b!]/a", "http://[v1.a:b!]/a"),
+        ("http://a\u3000b.de/", None),
+        ("http://\ud800.de/", None),
+        ("http://a.test/\ud800", None),
+    ],
+)
+def test_canonical_keys_are_the_same_on_every_python(url, expected):
+    if expected is None:
+        with pytest.raises(CanonicalizationError):
+            canonicalize_url(url)
+    else:
+        assert canonicalize_url(url) == expected
+
+
+def test_host_class_is_stringprep_spaces_controls_and_surrogates():
+    # Tables C.1.2, C.2.2 and C.5 list nothing at or above U+20000.
+    for code in range(0x20000):
+        char = chr(code)
+        ascii_control_or_space = code <= 0x20 or code == 0x7F
+        listed = any(
+            in_table(char)
+            for in_table in (stringprep.in_table_c12, stringprep.in_table_c22, stringprep.in_table_c5)
+        )
+        assert bool(_HOST_REFUSED_RE.match(char)) == (ascii_control_or_space or listed), hex(code)
